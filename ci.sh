@@ -71,6 +71,27 @@ cargo test -q --offline -p protean-sim --test cache_flat_equiv
 cargo test -q --release --offline -p protean-sim --test tage_fold_equiv
 cargo test -q --offline -p protean-sim --test tage_fold_equiv
 
+echo "== traced campaign equivalence: golden campaign + trace renderings + traced reset (release + debug)"
+# The campaign engine triages and renders counterexamples from the
+# traces of the runs it already simulated instead of replaying them, and
+# the tracer shares one disassembly string per static instruction. Both
+# fixtures were recorded when the engine still replayed and the tracer
+# formatted every µop; the differential test pins the property the
+# reuse rests on (a reset traced core records what a fresh one would).
+# Run them named in both profiles, like the other equivalence suites.
+cargo test -q --release --offline -p protean-bench --test golden_campaign
+cargo test -q --offline -p protean-bench --test golden_campaign
+cargo test -q --release --offline -p protean-bench --test golden_trace_render
+cargo test -q --offline -p protean-bench --test golden_trace_render
+cargo test -q --release --offline -p protean-bench --test traced_reset_equiv
+cargo test -q --offline -p protean-bench --test traced_reset_equiv
+
+echo "== perfbench self-tests (metric names vs BENCHMARK.json)"
+# The benchmark is its own workspace, so the workspace runs above never
+# build it; its tests check that the metric names it prints are exactly
+# those BENCHMARK.json declares, and that its replay matches the engine.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== bench JSON smoke (ablation_fixes --quick + perf_smoke + validate_json)"
 # Two bench binaries end to end: write their JSON reports to a scratch
 # dir, then check them against the schema shared by all reports.

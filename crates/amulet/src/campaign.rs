@@ -26,12 +26,11 @@
 //!   cycle-accurate core is never constructed for that program.
 //!   [`CampaignReport::prefilter_rejected`] / `prefilter_pairs` /
 //!   `hw_pairs` quantify the stage-1 hit rate.
-//! * **Audit-signature triage.** Each candidate violation is re-run with
-//!   pipeline tracing and bucketed on
-//!   [`Trace::audit_signature`](protean_sim::Trace::audit_signature) —
-//!   the sorted set of `(gate, rule)` defense decisions plus squash
-//!   causes. One root cause, one [`TriageBucket`], regardless of how
-//!   many seeds re-trigger it.
+//! * **Audit-signature triage.** Each candidate violation is bucketed on
+//!   the [`Trace::audit_signature`](protean_sim::Trace::audit_signature)
+//!   of its mutant run — the sorted set of `(gate, rule)` defense
+//!   decisions plus squash causes. One root cause, one [`TriageBucket`],
+//!   regardless of how many seeds re-trigger it.
 //! * **Coverage-guided generation.** The traced base run's pipeline
 //!   events (squash causes × defense block rules), attributed to the
 //!   gadget templates the generator drew, feed a coverage map; template
@@ -39,6 +38,15 @@
 //!   chunk *k − 1* (`w = 1 + c_max − c`), biasing generation toward
 //!   undercovered templates. Updating weights only at chunk boundaries
 //!   keeps reports worker-count independent.
+//!
+//! **Tracing.** When triage, coverage guidance or counterexample capture
+//! ([`FuzzConfig::capture_traces`]) is on, the engine builds its
+//! per-program arena core with pipeline tracing on, and triage, coverage
+//! and counterexample rendering all read the traces of the runs the
+//! engine already simulated — no run is ever replayed. Tracing is
+//! observation-only, and the tracer renders each static instruction's
+//! disassembly once per run, so a traced campaign costs about what the
+//! simulation itself costs.
 //!
 //! With every feature flag off, the engine routes each program through
 //! the *same* [`fuzz_one_program`] worker as [`fuzz`](crate::fuzz) and
@@ -54,9 +62,9 @@ use protean_arch::{ArchState, ExecRecord};
 use protean_cc::compile_with;
 use protean_rng::Rng;
 use protean_sim::json::Json;
-use protean_sim::{Core, DefensePolicy, SimExit};
+use protean_sim::{Core, DefensePolicy, SimExit, SimResult, Trace};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Campaign-engine configuration: a [`FuzzConfig`] plus the engine
 /// feature flags. The defaults leave every feature off, in which state
@@ -110,7 +118,7 @@ impl CampaignConfig {
 }
 
 /// One root-cause bucket of the violation triage: every candidate whose
-/// traced re-run produced the same audit signature.
+/// mutant run produced the same audit signature.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TriageBucket {
     /// Candidate violations with this signature (true and false
@@ -203,9 +211,10 @@ const SNAPSHOT_VERSION: u64 = 1;
 /// # Panics
 ///
 /// Panics if an existing snapshot was written by a different config
-/// (fingerprint mismatch) or snapshot schema version — resuming a
-/// campaign under a silently different configuration would corrupt the
-/// determinism contract, so it is refused loudly.
+/// (fingerprint mismatch) or snapshot schema version, or if any of its
+/// rows is missing, malformed or of an unknown kind — resuming a
+/// campaign under a silently different configuration or state would
+/// corrupt the determinism contract, so it is refused loudly.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
@@ -432,38 +441,38 @@ fn engine_one_program(
         return eo;
     }
 
-    // Stage 2 (expensive): cycle-accurate replay of the admitted pairs.
-    // Coverage mode constructs the core with pipeline tracing on —
-    // tracing is observation-only, so every counter matches an untraced
-    // run; the base run's trace is the coverage harvest.
+    // Stage 2 (expensive): cycle-accurate runs of the admitted pairs.
+    // Whenever a run's trace is read — the base run's for the coverage
+    // harvest, a candidate's mutant run for triage, both for a rendered
+    // counterexample — the core records pipeline traces. Tracing is
+    // observation-only, so every counter matches an untraced run, and an
+    // arena core reset between runs records exactly the trace a fresh
+    // core would (the `traced_reset_equiv` test pins this).
     let mut core_cfg = cfg.core.clone();
-    if cc.coverage_guided {
-        core_cfg.trace = true;
-    }
+    core_cfg.trace |= cc.coverage_guided || cc.triage || cfg.capture_traces;
     let mut core = Core::new(&program, core_cfg, policy_factory(), &base);
     core.record_traces(true);
     let base_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
     report.committed_uops += base_hw.stats.committed;
     if cc.coverage_guided {
-        if let Some(trace) = &base_hw.trace {
-            let causes = trace.squash_causes();
-            let mut rules: Vec<String> = trace
-                .blocked_by_rule()
-                .iter()
-                .map(|(point, rule, _)| format!("{}/{rule}", point.name()))
-                .collect();
-            rules.sort();
-            rules.dedup();
-            let mut templates = generated.templates.clone();
-            templates.sort_by_key(|t| t.name());
-            templates.dedup();
-            for t in &templates {
-                for c in &causes {
-                    eo.coverage.push(format!("{}|squash:{c}", t.name()));
-                }
-                for r in &rules {
-                    eo.coverage.push(format!("{}|block:{r}", t.name()));
-                }
+        let trace = trace_of(&base_hw);
+        let causes = trace.squash_causes();
+        let mut rules: Vec<String> = trace
+            .blocked_by_rule()
+            .iter()
+            .map(|(point, rule, _)| format!("{}/{rule}", point.name()))
+            .collect();
+        rules.sort();
+        rules.dedup();
+        let mut templates = generated.templates.clone();
+        templates.sort_by_key(|t| t.name());
+        templates.dedup();
+        for t in &templates {
+            for c in &causes {
+                eo.coverage.push(format!("{}|squash:{c}", t.name()));
+            }
+            for r in &rules {
+                eo.coverage.push(format!("{}|block:{r}", t.name()));
             }
         }
     }
@@ -494,21 +503,17 @@ fn engine_one_program(
                 report.violations += 1;
             }
             if cc.triage {
-                let sig = fuzzer::traced_replay(&program, &mutant, cfg, policy_factory())
-                    .map(|t| t.audit_signature())
-                    .unwrap_or_else(|| "no-trace".to_string());
-                eo.triage.push((sig, seed, i, fp));
+                eo.triage
+                    .push((trace_of(&mutant_hw).audit_signature(), seed, i, fp));
             }
             if report.examples.len() < Report::MAX_EXAMPLES {
                 report.examples.push(Violation {
                     program_seed: seed,
                     input_index: i,
                     false_positive: fp,
-                    trace: if cfg.capture_traces {
-                        fuzzer::traced_rerun(&program, &base, &mutant, cfg, policy_factory)
-                    } else {
-                        None
-                    },
+                    trace: cfg.capture_traces.then(|| {
+                        fuzzer::render_counterexample(trace_of(&base_hw), trace_of(&mutant_hw))
+                    }),
                 });
             }
             if !fp && cfg.stop_at_first {
@@ -519,6 +524,13 @@ fn engine_one_program(
     }
     eo.outcome = ProgramOutcome { report, stopped };
     eo
+}
+
+/// The trace of a run on the engine's traced arena core.
+fn trace_of(run: &SimResult) -> &Trace {
+    run.trace
+        .as_ref()
+        .expect("the engine traces every run whose trace it reads")
 }
 
 /// A cheap FNV-1a fingerprint of every campaign parameter that affects
@@ -613,7 +625,7 @@ fn snapshot_json(fingerprint: &str, state: &CampaignReport) -> Json {
     ])
 }
 
-fn save_snapshot(path: &PathBuf, fingerprint: &str, state: &CampaignReport) {
+fn save_snapshot(path: &Path, fingerprint: &str, state: &CampaignReport) {
     let doc = snapshot_json(fingerprint, state);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
@@ -628,16 +640,30 @@ fn save_snapshot(path: &PathBuf, fingerprint: &str, state: &CampaignReport) {
         .unwrap_or_else(|e| panic!("cannot write snapshot {}: {e}", path.display()));
 }
 
+/// Refuses a damaged snapshot. Every field is required and exact:
+/// defaulting a missing or malformed one would resume the campaign into
+/// a silently different report.
+fn bad_snapshot(path: &Path, what: &str) -> ! {
+    panic!("snapshot {} has {what}; refusing to resume", path.display())
+}
+
 /// Reads an exact integer field from a parsed snapshot object —
 /// `Json::as_f64` would silently round seeds above 2^53.
-fn get_u64(obj: &Json, key: &str) -> u64 {
+fn get_u64(path: &Path, row: &str, obj: &Json, key: &str) -> u64 {
     match obj.get(key) {
         Some(Json::U64(v)) => *v,
-        _ => 0,
+        other => bad_snapshot(path, &format!("a bad {key} field in {row} ({other:?})")),
     }
 }
 
-fn load_snapshot(path: &PathBuf, fingerprint: &str) -> CampaignReport {
+/// Parses a row's integer value text.
+fn parse_u64(path: &Path, row: &str, value: &str) -> u64 {
+    value
+        .parse()
+        .unwrap_or_else(|_| bad_snapshot(path, &format!("a non-integer {row} value {value:?}")))
+}
+
+fn load_snapshot(path: &Path, fingerprint: &str) -> CampaignReport {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read snapshot {}: {e}", path.display()));
     let doc = Json::parse(&text)
@@ -648,44 +674,51 @@ fn load_snapshot(path: &PathBuf, fingerprint: &str) -> CampaignReport {
         .unwrap_or_else(|| panic!("snapshot {} has no rows", path.display()));
 
     let mut state = CampaignReport::default();
+    let (mut versioned, mut fingerprinted) = (false, false);
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut examples: Vec<(usize, Violation)> = Vec::new();
-    for r in rows {
-        let kind = r.get("kind").and_then(|v| v.as_str()).unwrap_or("");
-        let key = r.get("key").and_then(|v| v.as_str()).unwrap_or("");
-        let value = r.get("value").and_then(|v| v.as_str()).unwrap_or("");
-        match kind {
-            "meta" => match key {
-                "version" => {
-                    let v: u64 = value.parse().unwrap_or(0);
-                    assert!(
-                        v == SNAPSHOT_VERSION,
-                        "snapshot {} has version {v}, engine expects {SNAPSHOT_VERSION}",
-                        path.display()
-                    );
-                }
-                "fingerprint" => {
-                    assert!(
-                        value == fingerprint,
-                        "snapshot {} was written by a different campaign config \
-                         (fingerprint {value} != {fingerprint}); refusing to resume",
-                        path.display()
-                    );
-                }
-                _ => {}
-            },
-            "counter" => {
-                counters.insert(key.to_string(), value.parse().unwrap_or(0));
+    let mut examples: Vec<(u64, Violation)> = Vec::new();
+    for (n, r) in rows.iter().enumerate() {
+        let field = |f: &str| {
+            r.get(f)
+                .and_then(|v| v.as_str())
+                .unwrap_or_else(|| bad_snapshot(path, &format!("row {n} without a string {f}")))
+        };
+        let (kind, key, value) = (field("kind"), field("key"), field("value"));
+        let row = format!("{kind} row {key:?}");
+        match (kind, key) {
+            // The meta rows are written first, so a snapshot of another
+            // schema version or config is refused before its other rows
+            // are read.
+            ("meta", "version") => {
+                let v = parse_u64(path, &row, value);
+                assert!(
+                    v == SNAPSHOT_VERSION,
+                    "snapshot {} has version {v}, engine expects {SNAPSHOT_VERSION}",
+                    path.display()
+                );
+                versioned = true;
             }
-            "coverage" => {
+            ("meta", "fingerprint") => {
+                assert!(
+                    value == fingerprint,
+                    "snapshot {} was written by a different campaign config \
+                     (fingerprint {value} != {fingerprint}); refusing to resume",
+                    path.display()
+                );
+                fingerprinted = true;
+            }
+            ("counter", _) => {
+                counters.insert(key.to_string(), parse_u64(path, &row, value));
+            }
+            ("coverage", _) => {
                 state
                     .coverage
-                    .insert(key.to_string(), value.parse().unwrap_or(0));
+                    .insert(key.to_string(), parse_u64(path, &row, value));
             }
-            "triage" => {
+            ("triage", _) => {
                 let b = Json::parse(value)
-                    .unwrap_or_else(|e| panic!("bad triage bucket in snapshot: {e}"));
-                let get = |k: &str| get_u64(&b, k);
+                    .unwrap_or_else(|e| bad_snapshot(path, &format!("a non-JSON {row}: {e}")));
+                let get = |k: &str| get_u64(path, &row, &b, k);
                 state.triage.insert(
                     key.to_string(),
                     TriageBucket {
@@ -696,29 +729,45 @@ fn load_snapshot(path: &PathBuf, fingerprint: &str) -> CampaignReport {
                     },
                 );
             }
-            "example" => {
-                let v =
-                    Json::parse(value).unwrap_or_else(|e| panic!("bad example in snapshot: {e}"));
-                let get = |k: &str| get_u64(&v, k);
+            ("example", _) => {
+                let v = Json::parse(value)
+                    .unwrap_or_else(|e| bad_snapshot(path, &format!("a non-JSON {row}: {e}")));
+                let get = |k: &str| get_u64(path, &row, &v, k);
+                let false_positive = match v.get("false_positive") {
+                    Some(Json::Bool(b)) => *b,
+                    other => {
+                        bad_snapshot(path, &format!("a bad false_positive in {row} ({other:?})"))
+                    }
+                };
+                let trace = match v.get("trace") {
+                    Some(Json::Null) => None,
+                    Some(Json::Str(t)) => Some(t.clone()),
+                    other => bad_snapshot(path, &format!("a bad trace in {row} ({other:?})")),
+                };
                 examples.push((
-                    key.parse().unwrap_or(0),
+                    parse_u64(path, "example index", key),
                     Violation {
                         program_seed: get("program_seed"),
                         input_index: get("input_index") as usize,
-                        false_positive: matches!(v.get("false_positive"), Some(Json::Bool(true))),
-                        trace: v
-                            .get("trace")
-                            .and_then(|t| t.as_str())
-                            .map(|t| t.to_string()),
+                        false_positive,
+                        trace,
                     },
                 ));
             }
-            _ => {}
+            _ => bad_snapshot(path, &format!("an unknown {row}")),
         }
+    }
+    if !versioned || !fingerprinted {
+        bad_snapshot(path, "no version or fingerprint row");
     }
     examples.sort_by_key(|(i, _)| *i);
     state.report.examples = examples.into_iter().map(|(_, v)| v).collect();
-    let c = |k: &str| counters.get(k).copied().unwrap_or(0);
+    let c = |k: &str| {
+        counters
+            .get(k)
+            .copied()
+            .unwrap_or_else(|| bad_snapshot(path, &format!("no {k} counter")))
+    };
     state.programs_done = c("programs_done") as usize;
     state.chunks_done = c("chunks_done");
     state.stopped = c("stopped") != 0;

@@ -475,8 +475,10 @@ pub(crate) fn seq_trace(
 
 /// Re-runs one input with pipeline tracing enabled and returns the raw
 /// [`Trace`]. The simulator is deterministic, so the traced run replays
-/// the original execution exactly; tracing is kept out of the fuzzing
-/// hot loop so the millions of non-violating runs pay nothing for it.
+/// the original execution exactly; the batch driver keeps tracing out of
+/// its hot loop so the millions of non-violating runs pay nothing for
+/// it. (The campaign engine traces its own runs instead and never
+/// replays.)
 pub(crate) fn traced_replay(
     program: &Program,
     input: &ArchState,
@@ -491,10 +493,7 @@ pub(crate) fn traced_replay(
 }
 
 /// Re-runs the violating *pair* with pipeline tracing enabled and
-/// renders both counterexample traces side by side. A violation is a
-/// difference between the base and mutant executions, so a one-sided
-/// rendering hides half the evidence; both halves carry the pipeline
-/// timeline and the defense audit log.
+/// renders both counterexample traces with [`render_counterexample`].
 pub(crate) fn traced_rerun(
     program: &Program,
     base: &ArchState,
@@ -502,6 +501,16 @@ pub(crate) fn traced_rerun(
     cfg: &FuzzConfig,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
 ) -> Option<String> {
+    let base_trace = traced_replay(program, base, cfg, policy_factory())?;
+    let mutant_trace = traced_replay(program, mutant, cfg, policy_factory())?;
+    Some(render_counterexample(&base_trace, &mutant_trace))
+}
+
+/// Renders a counterexample's base and mutant traces side by side. A
+/// violation is a difference between the two executions, so a one-sided
+/// rendering hides half the evidence; both halves carry the pipeline
+/// timeline and the defense audit log.
+pub(crate) fn render_counterexample(base: &Trace, mutant: &Trace) -> String {
     let render = |trace: &Trace| {
         format!(
             "{}\n{}",
@@ -509,11 +518,9 @@ pub(crate) fn traced_rerun(
             trace.render_audit(16)
         )
     };
-    let base_trace = traced_replay(program, base, cfg, policy_factory())?;
-    let mutant_trace = traced_replay(program, mutant, cfg, policy_factory())?;
-    Some(format!(
+    format!(
         "=== base run ===\n{}\n=== mutant run ===\n{}",
-        render(&base_trace),
-        render(&mutant_trace)
-    ))
+        render(base),
+        render(mutant)
+    )
 }

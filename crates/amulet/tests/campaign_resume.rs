@@ -6,6 +6,7 @@
 //! produces the same coverage counters regardless of parallelism.
 
 use protean_amulet::{fuzz, run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
+use protean_sim::json::Json;
 use protean_sim::UnsafePolicy;
 use std::path::PathBuf;
 
@@ -129,4 +130,92 @@ fn features_off_resume_still_matches_fuzz() {
     let resumed = run_campaign(&second, &|| Box::new(UnsafePolicy));
     assert_eq!(format!("{direct:?}"), format!("{:?}", resumed.report));
     let _ = std::fs::remove_file(&path);
+}
+
+/// A snapshot with one damaged field is refused loudly instead of
+/// resuming into a silently different report. Each damage below is
+/// applied to a real snapshot (with traced examples, triage buckets and
+/// coverage rows): a malformed field of each row kind, and a missing
+/// counter row.
+#[test]
+fn damaged_snapshot_is_refused() {
+    let path = temp_snapshot("damaged");
+    let mut first = engine_cfg(1, true);
+    first.snapshot = Some(path.clone());
+    first.max_chunks_per_call = Some(2);
+    run_campaign(&first, &|| Box::new(UnsafePolicy));
+    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+
+    // (row kind, row key or "" for the kind's first row, damaged value,
+    // expected message); kind "missing" deletes the keyed row instead.
+    let corruptions = [
+        (
+            "counter",
+            "tests",
+            "3x",
+            "non-integer counter row \"tests\"",
+        ),
+        ("counter", "programs_done", "", "non-integer counter row"),
+        ("coverage", "", "-1", "non-integer coverage row"),
+        ("triage", "", r#"{"count":1}"#, "bad false_positives field"),
+        (
+            "triage",
+            "",
+            r#"{"count":"2","false_positives":0,"first_program_seed":1,"first_input_index":0}"#,
+            "bad count field",
+        ),
+        (
+            "example",
+            "",
+            r#"{"program_seed":1,"input_index":0,"false_positive":"no","trace":null}"#,
+            "bad false_positive",
+        ),
+        ("missing", "hw_pairs", "", "no hw_pairs counter"),
+    ];
+    for (kind, key, value, expected) in corruptions {
+        let mut damaged = doc.clone();
+        let rows = rows_mut(&mut damaged);
+        let is_target = |r: &Json| {
+            (kind == "missing" || text(r, "kind") == kind)
+                && (key.is_empty() || text(r, "key") == key)
+        };
+        if kind == "missing" {
+            rows.retain(|r| !is_target(r));
+        } else {
+            let Some(Json::Obj(cols)) = rows.iter_mut().find(|r| is_target(r)) else {
+                panic!("the snapshot has a {kind} row to damage");
+            };
+            cols.iter_mut().find(|(c, _)| c == "value").unwrap().1 = Json::str(value);
+        }
+        std::fs::write(&path, damaged.render_pretty()).unwrap();
+        let mut second = engine_cfg(1, true);
+        second.snapshot = Some(path.clone());
+        let Err(err) =
+            std::panic::catch_unwind(|| run_campaign(&second, &|| Box::new(UnsafePolicy)))
+        else {
+            panic!("a damaged {kind} row must be refused");
+        };
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains(expected) && msg.contains("refusing to resume"),
+            "{kind} damage: unexpected message {msg:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The `rows` array of a snapshot document.
+fn rows_mut(doc: &mut Json) -> &mut Vec<Json> {
+    let Json::Obj(fields) = doc else {
+        panic!("a snapshot is an object")
+    };
+    match fields.iter_mut().find(|(k, _)| k == "rows") {
+        Some((_, Json::Arr(rows))) => rows,
+        _ => panic!("a snapshot has a rows array"),
+    }
+}
+
+/// A string column of a snapshot row.
+fn text<'a>(row: &'a Json, column: &str) -> &'a str {
+    row.get(column).and_then(|v| v.as_str()).unwrap_or("")
 }

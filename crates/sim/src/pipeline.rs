@@ -346,6 +346,9 @@ pub struct Core<'a> {
     /// `PROTEAN_TRACE`), read once at construction so [`Core::reset`]
     /// never re-reads the environment.
     trace_on: bool,
+    /// Recorded-µop cap of each run's trace (`PROTEAN_TRACE_LIMIT`, read
+    /// once at construction next to `PROTEAN_TRACE`).
+    trace_limit: usize,
     /// `Some` only when µop-level tracing is enabled ([`CoreConfig::trace`]
     /// or `PROTEAN_TRACE`): every event site is one `Option` check when off.
     tracer: Option<Box<Tracer>>,
@@ -376,6 +379,10 @@ impl<'a> Core<'a> {
         let n_phys = cfg.phys_regs.max(Reg::COUNT * 2);
         let meta_fill = policy.l1d_meta_fill();
         let trace_on = cfg.trace || std::env::var("PROTEAN_TRACE").is_ok_and(|v| v.trim() != "0");
+        let trace_limit = std::env::var("PROTEAN_TRACE_LIMIT")
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(crate::trace::DEFAULT_TRACE_LIMIT);
         let decode_cache = match std::env::var("PROTEAN_DECODE_CACHE") {
             Ok(v) => v.trim() != "0",
             Err(_) => cfg.decode_cache,
@@ -436,6 +443,7 @@ impl<'a> Core<'a> {
             committed_idxs: Vec::new(),
             record_traces: false,
             trace_on,
+            trace_limit,
             tracer: None,
             cycle: 0,
             next_seq: 1,
@@ -541,9 +549,13 @@ impl<'a> Core<'a> {
         self.timing.clear();
         self.committed_idxs.clear();
         self.record_traces = false;
-        self.tracer = self
-            .trace_on
-            .then(|| Box::new(Tracer::new(self.policy.name())));
+        self.tracer = self.trace_on.then(|| {
+            Box::new(Tracer::new(
+                self.policy.name(),
+                self.trace_limit,
+                self.program.len(),
+            ))
+        });
         self.no_commit_cycles = 0;
     }
 
@@ -1875,9 +1887,8 @@ impl<'a> Core<'a> {
             self.sched.insert(SetId::ResolvePending, seq, i);
         }
         // Policy hook (access predictor resolution, taint from memory).
-        let mut u = self.rob[i].clone();
-        self.policy.on_load_data(&mut u, &mut self.tags, &self.l1d);
-        self.rob[i] = u;
+        self.policy
+            .on_load_data(&mut self.rob[i], &mut self.tags, &self.l1d);
         true
     }
 

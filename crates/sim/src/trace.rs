@@ -18,13 +18,17 @@
 //! Tracing is **observation-only**: enabling it never changes a single
 //! architectural or microarchitectural decision (test-asserted), and
 //! with tracing disabled the hot path performs one `Option` check per
-//! event site and allocates nothing.
+//! event site and allocates nothing. With tracing enabled, recording a
+//! µop formats nothing: each static instruction's disassembly is
+//! rendered once per run, the first time it is renamed, and every
+//! dynamic µop of it shares that text.
 //!
 //! [`DefensePolicy`]: crate::DefensePolicy
 
 use crate::defense::{BlockPoint, Seq, SquashKind};
 use crate::json::Json;
 use crate::pipeline::DynInst;
+use std::sync::Arc;
 
 /// Default cap on recorded µops (`PROTEAN_TRACE_LIMIT` overrides):
 /// bounds trace memory on long runs; blocked-cycle *totals* keep
@@ -63,8 +67,9 @@ pub struct UopTrace {
     pub idx: u32,
     /// Program counter.
     pub pc: u64,
-    /// Disassembly of the instruction.
-    pub disasm: String,
+    /// Disassembly of the instruction, shared by every µop of the same
+    /// static instruction in the run.
+    pub disasm: Arc<str>,
     /// Cycle the µop was fetched.
     pub fetch_cycle: u64,
     /// Cycle the µop was renamed into the ROB.
@@ -99,7 +104,7 @@ pub struct AuditRecord {
     /// Its program counter.
     pub pc: u64,
     /// Its disassembly.
-    pub disasm: String,
+    pub disasm: Arc<str>,
     /// The gate that denied it.
     pub point: BlockPoint,
     /// The policy rule that denied it.
@@ -136,6 +141,9 @@ pub struct FetchGroupEvent {
 pub struct Tracer {
     policy: String,
     uops: Vec<UopTrace>,
+    /// Disassembly per static instruction index, rendered the first time
+    /// the instruction is renamed.
+    disasm: Vec<Option<Arc<str>>>,
     limit: usize,
     /// µops not recorded because the cap was reached.
     dropped: u64,
@@ -148,17 +156,14 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer for a run under `policy`. The recorded-µop cap
-    /// comes from `PROTEAN_TRACE_LIMIT` (default
-    /// [`DEFAULT_TRACE_LIMIT`]).
-    pub fn new(policy: String) -> Tracer {
-        let limit = std::env::var("PROTEAN_TRACE_LIMIT")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_TRACE_LIMIT);
+    /// Creates a tracer for a run of a `static_insts`-instruction program
+    /// under `policy`, recording at most `limit` µops (the core passes
+    /// `PROTEAN_TRACE_LIMIT`, default [`DEFAULT_TRACE_LIMIT`]).
+    pub fn new(policy: String, limit: usize, static_insts: usize) -> Tracer {
         Tracer {
             policy,
             uops: Vec::new(),
+            disasm: vec![None; static_insts],
             limit: limit.max(1),
             dropped: 0,
             overflow_blocked: [0; 3],
@@ -192,11 +197,14 @@ impl Tracer {
             return;
         }
         debug_assert_eq!(self.uops.len() as u64 + 1, u.seq, "rename out of seq order");
+        let disasm = self.disasm[u.idx as usize]
+            .get_or_insert_with(|| u.inst.to_string().into())
+            .clone();
         self.uops.push(UopTrace {
             seq: u.seq,
             idx: u.idx,
             pc: u.pc,
-            disasm: u.inst.to_string(),
+            disasm,
             fetch_cycle: u.fetch_cycle,
             rename_cycle: cycle,
             issue_cycle: None,
@@ -612,7 +620,7 @@ impl Trace {
                     "args",
                     Json::obj([
                         ("seq", Json::U64(rec.seq)),
-                        ("uop", Json::str(rec.disasm.clone())),
+                        ("uop", Json::str(&*rec.disasm)),
                         ("cycles", Json::U64(rec.cycles)),
                     ]),
                 ),
