@@ -56,21 +56,16 @@ fn l1i_accesses_equal_fetched_uops_on_cold_cache() {
     }
 }
 
-/// The decode-cache switch may not change the corrected L1I accounting
-/// (the fix lives in the fetch loop both paths share).
+/// The corrected L1I accounting on a cold-cache straight-line run: the
+/// counts were recorded while the decode-once front end and the
+/// decode-per-visit front end it replaced still ran side by side and
+/// agreed, so they hold the single remaining front end to that result.
 #[test]
-fn l1i_accounting_identical_with_and_without_decode_cache() {
-    let prog = straight_line(100);
-    let mut on = CoreConfig::test_tiny();
-    on.decode_cache = true;
-    let mut off = CoreConfig::test_tiny();
-    off.decode_cache = false;
-    let a = run(&prog, on);
-    let b = run(&prog, off);
-    assert_eq!(a.stats.l1i_hits, b.stats.l1i_hits);
-    assert_eq!(a.stats.l1i_misses, b.stats.l1i_misses);
-    assert_eq!(a.stats.cycles, b.stats.cycles);
-    assert_eq!(a.final_regs, b.final_regs);
+fn l1i_accounting_matches_recorded_counts() {
+    let r = run(&straight_line(100), CoreConfig::test_tiny());
+    assert_eq!((r.stats.l1i_hits, r.stats.l1i_misses), (95, 7));
+    assert_eq!(r.stats.cycles, 114);
+    assert_eq!(r.final_regs[0], 100);
 }
 
 /// Batched fetch hands whole groups to rename: with tracing on, the
