@@ -1,13 +1,13 @@
-//! The persistent, resumable campaign engine (ROADMAP item 3).
+//! The persistent, resumable campaign engine: the one campaign driver.
 //!
-//! [`fuzz`](crate::fuzz) is a batch driver: it fans a fixed program
-//! count over workers and returns one report. Paper-scale evaluation
-//! (§VII-B) instead wants *long-running* campaigns that survive
+//! Every campaign — the plain [`fuzz`](crate::fuzz) call included —
+//! runs here, one program at a time through one per-program worker, and
+//! merges the per-program results in program order. Paper-scale
+//! evaluation (§VII-B) also wants *long-running* campaigns that survive
 //! preemption, spend cheap SEQ emulation before expensive cycle-accurate
-//! replay, dedup the violation firehose into root-cause buckets, and
-//! steer generation toward undercovered microarchitectural behavior.
-//! [`run_campaign`] adds those four capabilities on top of the exact
-//! same per-program worker:
+//! runs, dedup the violation firehose into root-cause buckets, and steer
+//! generation toward undercovered microarchitectural behavior.
+//! [`run_campaign`] provides those four capabilities as options:
 //!
 //! * **Chunked work queue + snapshots.** The program stream is processed
 //!   in chunks of [`CampaignConfig::chunk_size`] via
@@ -20,12 +20,12 @@
 //!   boundaries are a pure function of `chunk_size`, and per-chunk
 //!   results concatenate to the single-call result (asserted in
 //!   `protean-jobs` tests).
-//! * **Two-stage cheap-first filter.** All of a program's mutant SEQ
-//!   traces (threaded-code oracle, PR 7) are computed *before* any
-//!   hardware run; if no mutant is contract-equivalent to the base, the
-//!   cycle-accurate core is never constructed for that program.
-//!   [`CampaignReport::prefilter_rejected`] / `prefilter_pairs` /
-//!   `hw_pairs` quantify the stage-1 hit rate.
+//! * **Two-stage cheap-first filter.** The worker always computes all of
+//!   a program's mutant SEQ traces (threaded-code oracle) *before* any
+//!   hardware run. With [`CampaignConfig::prefilter`] on, a program none
+//!   of whose mutants is contract-equivalent to the base never builds
+//!   the cycle-accurate core. [`CampaignReport::prefilter_rejected`] /
+//!   `prefilter_pairs` / `hw_pairs` quantify the stage-1 hit rate.
 //! * **Audit-signature triage.** Each candidate violation is bucketed on
 //!   the [`Trace::audit_signature`](protean_sim::Trace::audit_signature)
 //!   of its mutant run — the sorted set of `(gate, rule)` defense
@@ -48,17 +48,17 @@
 //! disassembly once per run, so a traced campaign costs about what the
 //! simulation itself costs.
 //!
-//! With every feature flag off, the engine routes each program through
-//! the *same* [`fuzz_one_program`] worker as [`fuzz`](crate::fuzz) and
-//! merges with the same fold — the resulting [`Report`] is
-//! byte-identical to the batch driver's.
+//! **Counting.** Stage 2 walks the stage-1 verdicts in input order and
+//! counts a rejected mutant in [`Report::pairs_rejected`] only when it
+//! gets there: a truncated base run counts once in `hw_truncated` and
+//! every mutant in `no_partner` (none in `pairs_rejected`), and under
+//! `stop_at_first` nothing after the stopping mutant is counted. So the
+//! [`Report`] does not depend on triage or coverage guidance, and the
+//! prefilter changes it only for the programs it skips.
 
-use crate::fuzzer::{
-    self, derive_program_seed, fuzz_one_program, merge_outcome, FuzzConfig, ProgramOutcome, Report,
-    SeqOracle, Violation,
-};
+use crate::fuzzer::{self, derive_program_seed, FuzzConfig, Report, Violation};
 use crate::generator::{self, GadgetTemplate, GenConfig};
-use protean_arch::{ArchState, ExecRecord};
+use protean_arch::{ArchState, ExecRecord, ThreadedProgram};
 use protean_cc::compile_with;
 use protean_rng::Rng;
 use protean_sim::json::Json;
@@ -68,7 +68,7 @@ use std::path::{Path, PathBuf};
 
 /// Campaign-engine configuration: a [`FuzzConfig`] plus the engine
 /// feature flags. The defaults leave every feature off, in which state
-/// [`run_campaign`] reproduces [`fuzz`](crate::fuzz) byte-identically.
+/// [`run_campaign`] is exactly [`fuzz`](crate::fuzz).
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// The underlying fuzzing configuration. `fuzz.programs` is the
@@ -97,7 +97,7 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// An engine wrapper around `fuzz` with every feature off.
+    /// A campaign over `fuzz` with every engine feature off.
     pub fn new(fuzz: FuzzConfig) -> CampaignConfig {
         CampaignConfig {
             fuzz,
@@ -110,8 +110,9 @@ impl CampaignConfig {
         }
     }
 
-    /// Whether any per-program engine feature is on (off ⇒ the program
-    /// worker is exactly [`fuzz_one_program`]).
+    /// Whether any per-program engine feature is on (off ⇒ the campaign
+    /// is a plain [`fuzz`](crate::fuzz) call, which reports no engine
+    /// statistics).
     fn engine_features_on(&self) -> bool {
         self.coverage_guided || self.prefilter || self.triage
     }
@@ -145,6 +146,8 @@ pub struct CampaignReport {
     /// Chunks fully processed.
     pub chunks_done: u64,
     /// Mutant pairs admitted by the cheap SEQ stage (contract-equivalent).
+    /// This and the other stage counters below stay zero unless an engine
+    /// feature is on.
     pub prefilter_pairs: u64,
     /// Mutant pairs rejected by the cheap SEQ stage (observer traces
     /// differ — never reached hardware).
@@ -200,8 +203,8 @@ const SNAPSHOT_VERSION: u64 = 1;
 /// contract; in short:
 ///
 /// * with every feature flag off the returned
-///   [`CampaignReport::report`] is byte-identical to
-///   [`fuzz`](crate::fuzz) on the same [`FuzzConfig`];
+///   [`CampaignReport::report`] is what [`fuzz`](crate::fuzz) returns on
+///   the same [`FuzzConfig`];
 /// * killing the campaign after any chunk (simulated via
 ///   [`CampaignConfig::max_chunks_per_call`], or a real SIGKILL — the
 ///   snapshot write is atomic) and re-running with the same config
@@ -248,17 +251,16 @@ pub fn run_campaign(
             .coverage_guided
             .then(|| coverage_weights(&state.coverage));
         let outcomes = protean_jobs::map_range_with(workers, start..end, |p| {
-            run_one(cfg, p, weights.as_ref(), policy_factory)
+            engine_one_program(cfg, p, weights.as_ref(), policy_factory)
         });
 
         state.programs_done = end;
         for (off, outcome) in outcomes.into_iter().enumerate() {
-            let stopped = outcome.outcome.stopped;
-            fold_outcome(&mut state, outcome);
+            let stopped = outcome.stopped;
+            fold_outcome(&mut state, outcome, cfg.engine_features_on());
             if stopped {
                 // stop_at_first: discard later programs of the chunk and
-                // pin the cursor to the stopping program, exactly like
-                // the batch driver's ordered-merge break.
+                // pin the cursor to the stopping program.
                 state.stopped = true;
                 state.programs_done = start + off + 1;
                 break;
@@ -275,10 +277,14 @@ pub fn run_campaign(
     state
 }
 
-/// One program's engine outcome: the plain fuzzing outcome plus the
-/// engine-only event streams, all merged in program order.
-struct EngineOutcome {
-    outcome: ProgramOutcome,
+/// One program's share of a campaign: its report plus the engine's
+/// event streams, all merged in program order.
+#[derive(Default)]
+struct ProgramOutcome {
+    report: Report,
+    /// `stop_at_first` found a true positive in this program: the merge
+    /// must not consume any later program's results.
+    stopped: bool,
     prefilter_pairs: u64,
     prefilter_rejected: u64,
     hw_pairs: u64,
@@ -289,29 +295,20 @@ struct EngineOutcome {
     triage: Vec<(String, u64, usize, bool)>,
 }
 
-impl EngineOutcome {
-    fn plain(outcome: ProgramOutcome) -> EngineOutcome {
-        EngineOutcome {
-            outcome,
-            prefilter_pairs: 0,
-            prefilter_rejected: 0,
-            hw_pairs: 0,
-            candidates: 0,
-            coverage: Vec::new(),
-            triage: Vec::new(),
-        }
+/// Folds one program's outcome into the campaign state, in program
+/// order. The stage counters are kept only when `engine_stats` is set
+/// (some engine feature is on).
+fn fold_outcome(state: &mut CampaignReport, po: ProgramOutcome, engine_stats: bool) {
+    if engine_stats {
+        state.prefilter_pairs += po.prefilter_pairs;
+        state.prefilter_rejected += po.prefilter_rejected;
+        state.hw_pairs += po.hw_pairs;
+        state.candidates += po.candidates;
     }
-}
-
-fn fold_outcome(state: &mut CampaignReport, eo: EngineOutcome) {
-    state.prefilter_pairs += eo.prefilter_pairs;
-    state.prefilter_rejected += eo.prefilter_rejected;
-    state.hw_pairs += eo.hw_pairs;
-    state.candidates += eo.candidates;
-    for key in eo.coverage {
+    for key in po.coverage {
         *state.coverage.entry(key).or_insert(0) += 1;
     }
-    for (sig, seed, input, fp) in eo.triage {
+    for (sig, seed, input, fp) in po.triage {
         let bucket = state.triage.entry(sig).or_insert_with(|| TriageBucket {
             count: 0,
             false_positives: 0,
@@ -323,7 +320,19 @@ fn fold_outcome(state: &mut CampaignReport, eo: EngineOutcome) {
             bucket.false_positives += 1;
         }
     }
-    merge_outcome(&mut state.report, eo.outcome);
+    let (report, part) = (&mut state.report, po.report);
+    report.tests += part.tests;
+    report.pairs_rejected += part.pairs_rejected;
+    report.violations += part.violations;
+    report.false_positives += part.false_positives;
+    report.committed_uops += part.committed_uops;
+    report.hw_truncated += part.hw_truncated;
+    report.no_partner += part.no_partner;
+    for v in part.examples {
+        if report.examples.len() < Report::MAX_EXAMPLES {
+            report.examples.push(v);
+        }
+    }
 }
 
 /// Template weights from the coverage map: `w = 1 + c_max − c`, where
@@ -344,36 +353,29 @@ fn coverage_weights(coverage: &BTreeMap<String, u64>) -> [u64; GadgetTemplate::A
     counts.map(|c| 1 + c_max - c)
 }
 
-/// Dispatches one program to the plain worker (features off — exact
-/// [`fuzz`](crate::fuzz) behavior) or the engine worker.
-fn run_one(
-    cfg: &CampaignConfig,
-    p: usize,
-    weights: Option<&[u64; GadgetTemplate::ALL.len()]>,
-    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> EngineOutcome {
-    if !cfg.engine_features_on() {
-        return EngineOutcome::plain(fuzz_one_program(&cfg.fuzz, p, policy_factory));
-    }
-    engine_one_program(cfg, p, weights, policy_factory)
+/// A mutant's stage-1 verdict.
+enum Verdict {
+    /// The SEQ oracle could not finish the mutant: never compared.
+    Unfinished,
+    /// Not contract-equivalent to the base: the difference is permitted.
+    Rejected,
+    /// Contract-equivalent to the base: a hardware pair to run.
+    Admitted(ArchState),
 }
 
-/// The engine's per-program worker: [`fuzz_one_program`] restructured
-/// into the two-stage cheap-first shape, with coverage harvesting and
-/// audit-signature triage. Pure function of `(cfg, p, weights)`.
+/// The per-program worker: fuzzes the `p`-th program of the campaign in
+/// two stages (cheap SEQ traces first, then cycle-accurate runs), with
+/// coverage harvesting and audit-signature triage when those features
+/// are on. Pure function of `(cfg, p, weights)`: the per-program seed
+/// and RNG are derived here, never shared across jobs.
 fn engine_one_program(
     cc: &CampaignConfig,
     p: usize,
     weights: Option<&[u64; GadgetTemplate::ALL.len()]>,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> EngineOutcome {
+) -> ProgramOutcome {
     let cfg = &cc.fuzz;
-    let mut report = Report::default();
-    let mut stopped = false;
-    let mut eo = EngineOutcome::plain(ProgramOutcome {
-        report: Report::default(),
-        stopped: false,
-    });
+    let mut po = ProgramOutcome::default();
 
     let seed = derive_program_seed(cfg.gen.seed, p);
     let gen_cfg = GenConfig {
@@ -384,14 +386,18 @@ fn engine_one_program(
     let program = compile_with(&generated.program, cfg.pass).program;
     let observer = cfg.contract.observer(&program);
     let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+    // Per-program arenas: one threaded-code lowering backs every SEQ
+    // trace, one record buffer every SEQ run, and one `Core` the base
+    // run and every mutant run (via `Core::reset`, byte-identical to a
+    // fresh core).
+    let oracle = ThreadedProgram::new(&program);
     let mut records: Vec<ExecRecord> = Vec::new();
-    let oracle = SeqOracle::new(&program, cfg.oracle);
 
     if cc.coverage_guided {
         // Template-ran events are recorded even when the hardware stage
         // is skipped, so the weight feedback sees every draw.
         for t in &generated.templates {
-            eo.coverage.push(format!("{}|ran", t.name()));
+            po.coverage.push(format!("{}|ran", t.name()));
         }
     }
 
@@ -404,41 +410,46 @@ fn engine_one_program(
         cfg.max_steps,
         &mut records,
     ) else {
-        eo.outcome = ProgramOutcome { report, stopped };
-        return eo;
+        // Non-terminating or bad control flow: skip the program. The
+        // oracle's `StepLimit` lands here too — a program it cannot
+        // finish within the step budget is never compared against
+        // (possibly truncated) hardware runs.
+        return po;
     };
 
-    // Stage 1 (cheap): draw every mutant and SEQ-trace it on the
-    // threaded oracle before any cycle-accurate hardware run. The
-    // mutants are drawn in the same RNG order as the batch driver's
-    // interleaved loop, so the admitted inputs are identical.
-    let mut admitted: Vec<(usize, ArchState)> = Vec::new();
-    for i in 0..cfg.inputs_per_program {
+    // Stage 1 (cheap): draw every mutant and SEQ-trace it before any
+    // cycle-accurate run. Only the secrets are mutated.
+    let mut verdicts = Vec::with_capacity(cfg.inputs_per_program);
+    for _ in 0..cfg.inputs_per_program {
         let mut mutant = base.clone();
         fuzzer::randomize_secrets(&mut mutant, &mut rng);
-        let Some(mutant_trace) = fuzzer::seq_trace(
-            &program,
-            &oracle,
-            &mutant,
-            &observer,
-            cfg.max_steps,
-            &mut records,
-        ) else {
-            continue;
-        };
-        if mutant_trace != base_trace {
-            report.pairs_rejected += 1;
-            eo.prefilter_rejected += 1;
-            continue;
-        }
-        eo.prefilter_pairs += 1;
-        admitted.push((i, mutant));
+        verdicts.push(
+            match fuzzer::seq_trace(
+                &program,
+                &oracle,
+                &mutant,
+                &observer,
+                cfg.max_steps,
+                &mut records,
+            ) {
+                None => Verdict::Unfinished,
+                Some(trace) if trace != base_trace => {
+                    po.prefilter_rejected += 1;
+                    Verdict::Rejected
+                }
+                Some(_) => {
+                    po.prefilter_pairs += 1;
+                    Verdict::Admitted(mutant)
+                }
+            },
+        );
     }
 
-    if cc.prefilter && admitted.is_empty() {
-        // Stage 1 admitted nothing: the hardware core is never built.
-        eo.outcome = ProgramOutcome { report, stopped };
-        return eo;
+    if cc.prefilter && po.prefilter_pairs == 0 {
+        // Stage 1 admitted nothing: the hardware core is never built, so
+        // every rejected mutant is counted here.
+        po.report.pairs_rejected += po.prefilter_rejected;
+        return po;
     }
 
     // Stage 2 (expensive): cycle-accurate runs of the admitted pairs.
@@ -453,7 +464,7 @@ fn engine_one_program(
     let mut core = Core::new(&program, core_cfg, policy_factory(), &base);
     core.record_traces(true);
     let base_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-    report.committed_uops += base_hw.stats.committed;
+    po.report.committed_uops += base_hw.stats.committed;
     if cc.coverage_guided {
         let trace = trace_of(&base_hw);
         let causes = trace.squash_causes();
@@ -469,45 +480,57 @@ fn engine_one_program(
         templates.dedup();
         for t in &templates {
             for c in &causes {
-                eo.coverage.push(format!("{}|squash:{c}", t.name()));
+                po.coverage.push(format!("{}|squash:{c}", t.name()));
             }
             for r in &rules {
-                eo.coverage.push(format!("{}|block:{r}", t.name()));
+                po.coverage.push(format!("{}|block:{r}", t.name()));
             }
         }
     }
+    // The SEQ oracle halted within `max_steps`, but a defense can stall
+    // the hardware into the cycle budget (`max_steps * 60`): a truncated
+    // run observed only a prefix and must not be compared, so no mutant
+    // has a comparison partner.
     if base_hw.exit != SimExit::Halted {
-        report.hw_truncated += 1;
-        report.no_partner += admitted.len() as u64;
-        eo.outcome = ProgramOutcome { report, stopped };
-        return eo;
+        po.report.hw_truncated += 1;
+        po.report.no_partner += cfg.inputs_per_program as u64;
+        return po;
     }
 
-    for (i, mutant) in admitted {
+    for (i, verdict) in verdicts.into_iter().enumerate() {
+        let mutant = match verdict {
+            Verdict::Unfinished => continue,
+            Verdict::Rejected => {
+                po.report.pairs_rejected += 1;
+                continue;
+            }
+            Verdict::Admitted(mutant) => mutant,
+        };
         core.reset(&program, policy_factory(), &mutant);
         core.record_traces(true);
         let mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-        report.committed_uops += mutant_hw.stats.committed;
+        po.report.committed_uops += mutant_hw.stats.committed;
         if mutant_hw.exit != SimExit::Halted {
-            report.hw_truncated += 1;
+            po.report.hw_truncated += 1;
             continue;
         }
-        eo.hw_pairs += 1;
-        report.tests += 2;
+        po.hw_pairs += 1;
+        po.report.tests += 2;
         if cfg.adversary.observations_differ(&base_hw, &mutant_hw) {
-            eo.candidates += 1;
+            // Candidate violation; apply the false-positive filter.
+            po.candidates += 1;
             let fp = base_hw.committed_idxs != mutant_hw.committed_idxs;
             if fp {
-                report.false_positives += 1;
+                po.report.false_positives += 1;
             } else {
-                report.violations += 1;
+                po.report.violations += 1;
             }
             if cc.triage {
-                eo.triage
+                po.triage
                     .push((trace_of(&mutant_hw).audit_signature(), seed, i, fp));
             }
-            if report.examples.len() < Report::MAX_EXAMPLES {
-                report.examples.push(Violation {
+            if po.report.examples.len() < Report::MAX_EXAMPLES {
+                po.report.examples.push(Violation {
                     program_seed: seed,
                     input_index: i,
                     false_positive: fp,
@@ -517,13 +540,12 @@ fn engine_one_program(
                 });
             }
             if !fp && cfg.stop_at_first {
-                stopped = true;
+                po.stopped = true;
                 break;
             }
         }
     }
-    eo.outcome = ProgramOutcome { report, stopped };
-    eo
+    po
 }
 
 /// The trace of a run on the engine's traced arena core.
@@ -866,6 +888,33 @@ mod tests {
         assert_eq!(format!("{direct:?}"), format!("{:?}", engine.report));
         assert!(engine.complete);
         assert_eq!(engine.programs_done, cfg.fuzz.programs);
+        // A plain campaign reports no engine statistics.
+        let stages = [
+            engine.prefilter_pairs,
+            engine.prefilter_rejected,
+            engine.hw_pairs,
+            engine.candidates,
+        ];
+        assert_eq!(stages, [0; 4]);
+        assert!(engine.triage.is_empty() && engine.coverage.is_empty());
+    }
+
+    #[test]
+    fn triage_does_not_change_the_stop_at_first_report() {
+        // The stage-2 walk stops at the first true positive, so nothing
+        // after it is counted whichever features are on.
+        let mut cfg = tiny_cfg();
+        cfg.fuzz.stop_at_first = true;
+        let plain = run_campaign(&cfg, &|| Box::new(UnsafePolicy));
+        assert!(plain.stopped && plain.report.violations == 1);
+        cfg.triage = true;
+        let triaged = run_campaign(&cfg, &|| Box::new(UnsafePolicy));
+        assert_eq!(
+            format!("{:?}", triaged.report),
+            format!("{:?}", plain.report)
+        );
+        assert_eq!(triaged.programs_done, plain.programs_done);
+        assert_eq!(triaged.candidates, 1);
     }
 
     #[test]

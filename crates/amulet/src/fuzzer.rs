@@ -1,4 +1,4 @@
-//! The fuzzing campaign driver (paper §VII-B).
+//! The fuzzing campaign configuration and report (paper §VII-B).
 //!
 //! For each generated program: instrument with a ProtCC pass, find
 //! secret-mutation input pairs that are *contract-equivalent* (identical
@@ -7,17 +7,22 @@
 //! the adversary's observations differ. Candidate violations whose
 //! *committed* fingerprints differ are classified as false positives
 //! (the §VII-B1e post-processing filter).
+//!
+//! [`fuzz`] runs a whole campaign in one call; it is the campaign engine
+//! ([`run_campaign`](crate::run_campaign)) with every engine feature
+//! off, and the per-program worker lives there. This module keeps the
+//! pieces that worker shares: input construction, the SEQ contract
+//! trace, and counterexample rendering.
 
+use crate::campaign::{run_campaign, CampaignConfig};
 use crate::generator::{
     self, GadgetTemplate, GenConfig, PUBLIC_BASE, PUBLIC_SIZE, SECRET_BASE, SECRET_SIZE,
 };
-use protean_arch::{
-    ArchState, Emulator, ExecRecord, ExitStatus, ObserverMode, OracleMode, ThreadedProgram,
-};
-use protean_cc::{compile_with, public_typing, Pass};
-use protean_isa::{DecodedProgram, Program};
+use protean_arch::{ArchState, Emulator, ExecRecord, ExitStatus, ObserverMode, ThreadedProgram};
+use protean_cc::{public_typing, Pass};
+use protean_isa::Program;
 use protean_rng::{Rng, SplitMix64};
-use protean_sim::{Core, CoreConfig, DefensePolicy, SimExit, SimResult, Trace};
+use protean_sim::{CoreConfig, DefensePolicy, SimResult, Trace};
 
 /// Which security contract to test against (paper §II-C, §VII-B1c).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,16 +119,10 @@ pub struct FuzzConfig {
     /// `PROTEAN_JOBS` / available parallelism (see `protean_jobs`).
     /// Reports are byte-identical at any worker count.
     pub workers: Option<usize>,
-    /// Which SEQ-oracle backend produces the contract traces: the
-    /// threaded-code lowering (default, fast) or the `match`-based
-    /// interpreter (the differential reference). Both produce identical
-    /// traces and therefore identical reports; [`FuzzConfig::quick`]
-    /// resolves the default via `PROTEAN_ORACLE`.
-    pub oracle: OracleMode,
-    /// Capture rendered pipeline traces for example violations (a traced
-    /// re-run per recorded example). Throughput benchmarks switch this
-    /// off; every *deterministic* report counter is unaffected either
-    /// way.
+    /// Render pipeline traces for example violations. The campaign's
+    /// hardware runs are then traced (tracing is observation-only), so
+    /// throughput benchmarks and counter-only campaigns switch this off;
+    /// every report counter is unaffected either way.
     pub capture_traces: bool,
 }
 
@@ -142,7 +141,6 @@ impl FuzzConfig {
             stop_at_first: false,
             only_template: None,
             workers: None,
-            oracle: OracleMode::from_env(),
             capture_traces: true,
         }
     }
@@ -158,9 +156,9 @@ pub struct Violation {
     /// Whether the post-processing filter classified it as a false
     /// positive (committed fingerprints differ — sequential leakage).
     pub false_positive: bool,
-    /// Rendered pipeline trace of the leaking run (text diagram plus the
-    /// defense-decision audit log), captured by a deterministic traced
-    /// re-run of the mutant input when the example is recorded.
+    /// Rendered pipeline traces of the base and mutant runs (text
+    /// diagram plus the defense-decision audit log), present when
+    /// [`FuzzConfig::capture_traces`] is on.
     pub trace: Option<String>,
 }
 
@@ -176,8 +174,7 @@ pub struct Report {
     /// Filtered false positives.
     pub false_positives: u64,
     /// Total µops committed across all hardware runs (base and mutant),
-    /// for campaign-throughput accounting. Deterministic like every
-    /// other counter: traced example re-runs are excluded.
+    /// for campaign-throughput accounting.
     pub committed_uops: u64,
     /// Hardware runs cut off by the cycle/instruction budget before
     /// halting. A truncated run's adversary observations cover only a
@@ -200,7 +197,8 @@ impl Report {
     pub const MAX_EXAMPLES: usize = 8;
 }
 
-/// Runs a fuzzing campaign against `policy_factory`'s defense.
+/// Runs a fuzzing campaign against `policy_factory`'s defense: the
+/// campaign engine with every feature off, in memory.
 ///
 /// Programs are fuzzed **in parallel** (one job per generated program,
 /// see [`FuzzConfig::workers`] and `protean_jobs`): every per-program
@@ -228,39 +226,7 @@ pub fn fuzz(
     cfg: &FuzzConfig,
     policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
 ) -> Report {
-    let workers = cfg.workers.unwrap_or_else(protean_jobs::worker_count);
-    let partials = protean_jobs::map_indexed_with(workers, cfg.programs, |p| {
-        fuzz_one_program(cfg, p, policy_factory)
-    });
-
-    // Order-preserving merge: identical to the serial accumulation.
-    let mut report = Report::default();
-    for partial in partials {
-        let stopped = partial.stopped;
-        merge_outcome(&mut report, partial);
-        if stopped {
-            break; // stop_at_first: discard speculative later programs
-        }
-    }
-    report
-}
-
-/// Folds one program's outcome into the campaign accumulator, in
-/// program order (shared by [`fuzz`] and the campaign engine's chunked
-/// merge so both accumulate byte-identically).
-pub(crate) fn merge_outcome(report: &mut Report, partial: ProgramOutcome) {
-    report.tests += partial.report.tests;
-    report.pairs_rejected += partial.report.pairs_rejected;
-    report.violations += partial.report.violations;
-    report.false_positives += partial.report.false_positives;
-    report.committed_uops += partial.report.committed_uops;
-    report.hw_truncated += partial.report.hw_truncated;
-    report.no_partner += partial.report.no_partner;
-    for v in partial.report.examples {
-        if report.examples.len() < Report::MAX_EXAMPLES {
-            report.examples.push(v);
-        }
-    }
+    run_campaign(&CampaignConfig::new(cfg.clone()), policy_factory).report
 }
 
 /// Derives the `p`-th program's seed from the campaign base seed.
@@ -274,162 +240,6 @@ pub(crate) fn derive_program_seed(base: u64, p: usize) -> u64 {
     let stream = sm.next_u64();
     let mut sm = SplitMix64::new(stream ^ p as u64);
     sm.next_u64()
-}
-
-/// One program's share of a campaign.
-pub(crate) struct ProgramOutcome {
-    pub(crate) report: Report,
-    /// `stop_at_first` found a true positive in this program: the merge
-    /// must not consume any later program's results.
-    pub(crate) stopped: bool,
-}
-
-/// Fuzzes the `p`-th program of the campaign. Pure function of
-/// `(cfg, p)`: the per-program seed and RNG are derived here, never
-/// shared across jobs.
-pub(crate) fn fuzz_one_program(
-    cfg: &FuzzConfig,
-    p: usize,
-    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> ProgramOutcome {
-    let mut report = Report::default();
-    let mut stopped = false;
-    let seed = derive_program_seed(cfg.gen.seed, p);
-    let gen_cfg = GenConfig {
-        seed,
-        ..cfg.gen.clone()
-    };
-    let raw = match cfg.only_template {
-        Some(t) => generator::generate_with_template(&gen_cfg, t),
-        None => generator::generate(&gen_cfg),
-    };
-    let program = compile_with(&raw, cfg.pass).program;
-    let observer = cfg.contract.observer(&program);
-    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
-
-    // Per-program arenas: one `Core` serves the base run and every
-    // mutant run via `Core::reset` (byte-identical to constructing a
-    // fresh core each time), one record buffer backs every SEQ trace,
-    // and one oracle lowering — the decode-once µop table for the
-    // interpreter, or the threaded-code closures for the fast mode —
-    // backs every SEQ emulation.
-    let mut records: Vec<ExecRecord> = Vec::new();
-    let oracle = SeqOracle::new(&program, cfg.oracle);
-
-    // The base input.
-    let base = make_input(&mut rng);
-    let Some(base_trace) = seq_trace(
-        &program,
-        &oracle,
-        &base,
-        &observer,
-        cfg.max_steps,
-        &mut records,
-    ) else {
-        // Non-terminating or bad control flow: skip program. The
-        // emulator's `StepLimit` lands here too — a program the SEQ
-        // oracle cannot finish within the architectural step budget is
-        // never compared against (possibly truncated) hardware runs.
-        return ProgramOutcome { report, stopped };
-    };
-    let mut core = Core::new(&program, cfg.core.clone(), policy_factory(), &base);
-    core.record_traces(true);
-    let base_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-    report.committed_uops += base_hw.stats.committed;
-    // The SEQ oracle halted within `max_steps`, but a defense can stall
-    // the hardware into the cycle budget (`max_steps * 60`): a truncated
-    // run observed only a prefix and must not be compared.
-    if base_hw.exit != SimExit::Halted {
-        // No mutant will ever have a comparison partner: skip the whole
-        // mutant loop before paying for a single SEQ trace. (Running the
-        // traces anyway used to bump `pairs_rejected` for a program that
-        // could never be compared, inflating the rejection stats.)
-        report.hw_truncated += 1;
-        report.no_partner += cfg.inputs_per_program as u64;
-        return ProgramOutcome { report, stopped };
-    }
-
-    for i in 0..cfg.inputs_per_program {
-        // Mutate secrets only.
-        let mut mutant = base.clone();
-        randomize_secrets(&mut mutant, &mut rng);
-        let Some(mutant_trace) = seq_trace(
-            &program,
-            &oracle,
-            &mutant,
-            &observer,
-            cfg.max_steps,
-            &mut records,
-        ) else {
-            continue;
-        };
-        if mutant_trace != base_trace {
-            // Not contract-equivalent: the difference is permitted.
-            report.pairs_rejected += 1;
-            continue;
-        }
-        core.reset(&program, policy_factory(), &mutant);
-        core.record_traces(true);
-        let mutant_hw = core.run_mut(cfg.max_steps, cfg.max_steps * 60);
-        report.committed_uops += mutant_hw.stats.committed;
-        if mutant_hw.exit != SimExit::Halted {
-            report.hw_truncated += 1;
-            continue;
-        }
-        report.tests += 2;
-        if cfg.adversary.observations_differ(&base_hw, &mutant_hw) {
-            // Candidate violation; apply the false-positive filter.
-            let fp = base_hw.committed_idxs != mutant_hw.committed_idxs;
-            if fp {
-                report.false_positives += 1;
-            } else {
-                report.violations += 1;
-            }
-            if report.examples.len() < Report::MAX_EXAMPLES {
-                report.examples.push(Violation {
-                    program_seed: seed,
-                    input_index: i,
-                    false_positive: fp,
-                    trace: if cfg.capture_traces {
-                        traced_rerun(&program, &base, &mutant, cfg, policy_factory)
-                    } else {
-                        None
-                    },
-                });
-            }
-            if !fp && cfg.stop_at_first {
-                stopped = true;
-                break;
-            }
-        }
-    }
-    ProgramOutcome { report, stopped }
-}
-
-/// The per-program SEQ-oracle lowering: either the decode-once µop table
-/// (interpreter) or the threaded-code closures (fast mode). Built once
-/// per program, reused for the base trace and every mutant trace.
-pub(crate) enum SeqOracle {
-    Interp(DecodedProgram),
-    Threaded(ThreadedProgram),
-}
-
-impl SeqOracle {
-    pub(crate) fn new(program: &Program, mode: OracleMode) -> SeqOracle {
-        match mode {
-            OracleMode::Interp => SeqOracle::Interp(DecodedProgram::new(program)),
-            OracleMode::Threaded => SeqOracle::Threaded(ThreadedProgram::new(program)),
-        }
-    }
-
-    pub(crate) fn emulator<'a>(&'a self, program: &'a Program, input: &ArchState) -> Emulator<'a> {
-        match self {
-            SeqOracle::Interp(decoded) => Emulator::with_decoded(program, decoded, input.clone()),
-            SeqOracle::Threaded(threaded) => {
-                Emulator::with_threaded(program, threaded, input.clone())
-            }
-        }
-    }
 }
 
 /// Builds a base input: cold chain, public data, registers, secrets.
@@ -455,55 +265,22 @@ pub(crate) fn randomize_secrets(state: &mut ArchState, rng: &mut Rng) {
     }
 }
 
-/// Sequential (contract) trace; `None` if the program misbehaves (bad
-/// control flow, or `StepLimit` — an execution the oracle cannot finish
-/// is never admitted into a comparison). `records` is a caller-owned
-/// scratch buffer (cleared and refilled by the emulator) so repeated
-/// traces reuse one allocation.
+/// Sequential (contract) trace on the program's threaded-code lowering;
+/// `None` if the program misbehaves (bad control flow, or `StepLimit` —
+/// an execution the oracle cannot finish is never admitted into a
+/// comparison). `records` is a caller-owned scratch buffer (cleared and
+/// refilled by the emulator) so repeated traces reuse one allocation.
 pub(crate) fn seq_trace(
     program: &Program,
-    oracle: &SeqOracle,
+    oracle: &ThreadedProgram,
     input: &ArchState,
     observer: &ObserverMode,
     max_steps: u64,
     records: &mut Vec<ExecRecord>,
 ) -> Option<Vec<protean_arch::Obs>> {
-    let mut emu = oracle.emulator(program, input);
+    let mut emu = Emulator::with_threaded(program, oracle, input.clone());
     let status = emu.run_into(max_steps, records);
     (status == ExitStatus::Halted).then(|| observer.trace(records))
-}
-
-/// Re-runs one input with pipeline tracing enabled and returns the raw
-/// [`Trace`]. The simulator is deterministic, so the traced run replays
-/// the original execution exactly; the batch driver keeps tracing out of
-/// its hot loop so the millions of non-violating runs pay nothing for
-/// it. (The campaign engine traces its own runs instead and never
-/// replays.)
-pub(crate) fn traced_replay(
-    program: &Program,
-    input: &ArchState,
-    cfg: &FuzzConfig,
-    policy: Box<dyn DefensePolicy>,
-) -> Option<Trace> {
-    let mut core_cfg = cfg.core.clone();
-    core_cfg.trace = true;
-    let core = Core::new(program, core_cfg, policy, input);
-    let result = core.run(cfg.max_steps, cfg.max_steps * 60);
-    result.trace
-}
-
-/// Re-runs the violating *pair* with pipeline tracing enabled and
-/// renders both counterexample traces with [`render_counterexample`].
-pub(crate) fn traced_rerun(
-    program: &Program,
-    base: &ArchState,
-    mutant: &ArchState,
-    cfg: &FuzzConfig,
-    policy_factory: &(dyn Fn() -> Box<dyn DefensePolicy> + Sync),
-) -> Option<String> {
-    let base_trace = traced_replay(program, base, cfg, policy_factory())?;
-    let mutant_trace = traced_replay(program, mutant, cfg, policy_factory())?;
-    Some(render_counterexample(&base_trace, &mutant_trace))
 }
 
 /// Renders a counterexample's base and mutant traces side by side. A

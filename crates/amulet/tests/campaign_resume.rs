@@ -109,8 +109,8 @@ fn coverage_map_is_worker_count_independent() {
     assert_eq!(a.digest(), b.digest());
 }
 
-/// Features-off engine runs reproduce the batch driver byte-identically
-/// even across a kill/resume cycle.
+/// A features-off campaign killed and resumed from its snapshot, at a
+/// different worker count, reports exactly what one `fuzz` call does.
 #[test]
 fn features_off_resume_still_matches_fuzz() {
     let mut base = engine_cfg(1, false);

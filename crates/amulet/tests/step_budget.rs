@@ -4,9 +4,12 @@
 //! SEQ oracle cannot finish must be skipped outright — never compared
 //! against (possibly truncated) hardware runs — and a hardware run cut
 //! off by its budget must never enter an adversary comparison.
+//!
+//! That the threaded-code SEQ oracle stops where the reference
+//! interpreter stops under a truncated budget is checked in
+//! `protean-bench`'s `threaded_oracle_equiv` test.
 
-use protean_amulet::{fuzz, Adversary, ContractKind, FuzzConfig};
-use protean_arch::OracleMode;
+use protean_amulet::{fuzz, run_campaign, Adversary, CampaignConfig, ContractKind, FuzzConfig};
 use protean_cc::Pass;
 use protean_core::ProtTrackPolicy;
 use protean_sim::UnsafePolicy;
@@ -27,47 +30,37 @@ fn budget_cfg(max_steps: u64) -> FuzzConfig {
 /// violations.
 #[test]
 fn seq_step_limit_skips_program_entirely() {
-    for oracle in [OracleMode::Interp, OracleMode::Threaded] {
-        let mut cfg = budget_cfg(4);
-        cfg.oracle = oracle;
-        let r = fuzz(&cfg, &|| Box::new(UnsafePolicy));
-        assert_eq!(r.tests, 0, "no pair may be compared ({oracle:?})");
-        assert_eq!(r.violations, 0, "{oracle:?}");
-        assert_eq!(r.false_positives, 0, "{oracle:?}");
-        assert_eq!(r.pairs_rejected, 0, "{oracle:?}");
-        assert_eq!(
-            r.committed_uops, 0,
-            "no hardware run may happen without a base trace ({oracle:?})"
-        );
-        assert_eq!(r.hw_truncated, 0, "{oracle:?}");
-    }
+    let r = fuzz(&budget_cfg(4), &|| Box::new(UnsafePolicy));
+    assert_eq!(r.tests, 0, "no pair may be compared");
+    assert_eq!(r.violations, 0);
+    assert_eq!(r.false_positives, 0);
+    assert_eq!(r.pairs_rejected, 0);
+    assert_eq!(
+        r.committed_uops, 0,
+        "no hardware run may happen without a base trace"
+    );
+    assert_eq!(r.hw_truncated, 0);
 }
 
-/// With the normal budget, the campaign's hardware runs all halt: the
-/// truncation counter stays zero and the report is identical under both
-/// oracle backends — including under a stalling defense, where hardware
-/// runs take many more cycles than architectural steps.
+/// With the normal budget, the campaign's hardware runs all halt and
+/// every mutant pair is compared — including under a stalling defense,
+/// where hardware runs take many more cycles than architectural steps.
 #[test]
-fn full_budget_reports_match_across_oracles() {
+fn full_budget_runs_all_halt() {
     for factory in [
         &(|| Box::new(UnsafePolicy) as Box<dyn protean_sim::DefensePolicy>)
             as &(dyn Fn() -> Box<dyn protean_sim::DefensePolicy> + Sync),
         &|| Box::new(ProtTrackPolicy::new()) as Box<dyn protean_sim::DefensePolicy>,
     ] {
-        let mut interp_cfg = budget_cfg(60_000);
-        interp_cfg.oracle = OracleMode::Interp;
-        let mut threaded_cfg = budget_cfg(60_000);
-        threaded_cfg.oracle = OracleMode::Threaded;
-        let a = fuzz(&interp_cfg, factory);
-        let b = fuzz(&threaded_cfg, factory);
-        assert!(a.tests > 0);
-        assert_eq!(a.hw_truncated, 0);
-        assert_eq!(a.tests, b.tests);
-        assert_eq!(a.pairs_rejected, b.pairs_rejected);
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.false_positives, b.false_positives);
-        assert_eq!(a.committed_uops, b.committed_uops);
-        assert_eq!(a.hw_truncated, b.hw_truncated);
+        let cfg = budget_cfg(60_000);
+        let r = fuzz(&cfg, factory);
+        assert_eq!(r.hw_truncated, 0);
+        assert_eq!(r.no_partner, 0);
+        assert_eq!(
+            r.tests + 2 * r.pairs_rejected,
+            2 * (cfg.programs * cfg.inputs_per_program) as u64,
+            "every mutant is either compared or rejected"
+        );
     }
 }
 
@@ -119,22 +112,43 @@ fn truncated_base_run_skips_mutants_as_no_partner() {
     assert_eq!(r.committed_uops, 0, "a fully stalled core commits nothing");
 }
 
+/// With prefilter and triage on, the campaign engine reports the same
+/// `Report` for the stalling defense as the plain campaign: stage 1
+/// still traces every mutant (`prefilter_rejected` counts each
+/// rejection there), but a mutant only reaches `pairs_rejected` when the
+/// stage-2 walk gets to it, and a truncated base run stops the walk
+/// before any mutant.
+#[test]
+fn truncated_base_counts_match_with_engine_features_on() {
+    let cfg = budget_cfg(60_000);
+    let plain = fuzz(&cfg, &|| Box::new(StallForeverPolicy));
+    let mut engine_cfg = CampaignConfig::new(cfg.clone());
+    engine_cfg.prefilter = true;
+    engine_cfg.triage = true;
+    let engine = run_campaign(&engine_cfg, &|| Box::new(StallForeverPolicy));
+    assert_eq!(format!("{:?}", engine.report), format!("{plain:?}"));
+    assert_eq!(engine.report.hw_truncated, cfg.programs as u64);
+    assert_eq!(
+        engine.prefilter_pairs + engine.prefilter_rejected,
+        (cfg.programs * cfg.inputs_per_program) as u64,
+        "stage 1 still traces every mutant"
+    );
+    assert_eq!(engine.hw_pairs, 0);
+}
+
 /// An in-between budget: some generated programs finish inside it, some
 /// do not. The ones that finish are fuzzed normally; the ones that do
-/// not are skipped — and the two oracle backends agree exactly on which
-/// is which.
+/// not are skipped outright.
 #[test]
-fn partial_budget_is_consistent_across_oracles() {
-    let mut interp_cfg = budget_cfg(1_500);
-    interp_cfg.oracle = OracleMode::Interp;
-    let mut threaded_cfg = budget_cfg(1_500);
-    threaded_cfg.oracle = OracleMode::Threaded;
-    let a = fuzz(&interp_cfg, &|| Box::new(UnsafePolicy));
-    let b = fuzz(&threaded_cfg, &|| Box::new(UnsafePolicy));
-    assert_eq!(a.tests, b.tests);
-    assert_eq!(a.pairs_rejected, b.pairs_rejected);
-    assert_eq!(a.violations, b.violations);
-    assert_eq!(a.false_positives, b.false_positives);
-    assert_eq!(a.committed_uops, b.committed_uops);
-    assert_eq!(a.hw_truncated, b.hw_truncated);
+fn partial_budget_skips_unfinished_programs() {
+    let full = fuzz(&budget_cfg(60_000), &|| Box::new(UnsafePolicy));
+    let partial = fuzz(&budget_cfg(500), &|| Box::new(UnsafePolicy));
+    assert!(
+        0 < partial.tests && partial.tests < full.tests,
+        "the budget must split the corpus (partial {} of {} tests)",
+        partial.tests,
+        full.tests
+    );
+    assert_eq!(partial.hw_truncated, 0);
+    assert_eq!(partial.no_partner, 0);
 }

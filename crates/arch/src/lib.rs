@@ -46,4 +46,4 @@ pub use emulator::{ArchState, BranchInfo, Emulator, ExecRecord, ExitStatus, MemA
 pub use mem::Memory;
 pub use observer::{commit_fingerprint, Obs, ObserverMode, PublicTyping};
 pub use prot::ProtState;
-pub use threaded::{Ctrl, OracleMode, ThreadedOp, ThreadedProgram};
+pub use threaded::{Ctrl, ThreadedOp, ThreadedProgram};

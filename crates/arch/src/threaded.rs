@@ -13,9 +13,10 @@
 //! calls the same shared semantic kernels ([`protean_isa::alu_eval`],
 //! [`protean_isa::div_eval`]) and the same register-write/ProtSet helper
 //! as the interpreter, and produces bit-identical [`ExecRecord`]s. The
-//! interpreter stays as the differential-testing oracle
-//! ([`OracleMode::Interp`], `PROTEAN_ORACLE=interp`); the equivalence is
-//! enforced by a property test over random fuzzer programs.
+//! lowering is the fuzzer's only SEQ oracle; the interpreter behind
+//! [`Emulator::new`](crate::Emulator::new) stays as the semantic ground
+//! truth it is checked against, by a property test over random fuzzer
+//! programs (full and truncated step budgets alike).
 
 use crate::emulator::{apply_reg_write, ArchState, ExecRecord, MemAccess};
 use crate::{BranchInfo, ProtState};
@@ -121,28 +122,6 @@ impl ThreadedProgram {
     #[inline]
     pub fn get(&self, idx: u32) -> &ThreadedOp {
         &self.ops[idx as usize]
-    }
-}
-
-/// Which oracle backend the architectural (SEQ) pass runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OracleMode {
-    /// The `match inst.op` interpreter — the differential-testing
-    /// reference.
-    Interp,
-    /// The threaded-code lowering (default: fast campaigns).
-    #[default]
-    Threaded,
-}
-
-impl OracleMode {
-    /// Reads `PROTEAN_ORACLE` (`interp` | `threaded`); defaults to
-    /// [`OracleMode::Threaded`].
-    pub fn from_env() -> OracleMode {
-        match std::env::var("PROTEAN_ORACLE").as_deref() {
-            Ok("interp") => OracleMode::Interp,
-            _ => OracleMode::Threaded,
-        }
     }
 }
 
@@ -424,12 +403,5 @@ mod tests {
     #[test]
     fn div_and_fault() {
         assert_equivalent("mov r1, 100\nmov r2, 7\ndiv r0, r1, r2\ndiv r3, r1, r4\nhalt\n");
-    }
-
-    #[test]
-    fn oracle_mode_env_default() {
-        // Don't mutate the environment (tests run in parallel): just pin
-        // the default.
-        assert_eq!(OracleMode::default(), OracleMode::Threaded);
     }
 }

@@ -7,13 +7,14 @@
 //! random amulet-generated programs under every ProtCC instrumentation
 //! pass, and therefore identical projections under every observer mode.
 //!
-//! This is the property that lets `amulet::fuzzer` run the threaded
-//! backend by default while the interpreter stays the semantic ground
-//! truth: any divergence here is a lowering bug, never a tolerated
-//! approximation.
+//! This is the property that lets the fuzzer run the threaded backend
+//! as its only SEQ oracle while the interpreter stays the semantic
+//! ground truth: any divergence here is a lowering bug, never a
+//! tolerated approximation. Truncated step budgets are covered too, so
+//! the two agree on which runs the fuzzer's step budget cuts short.
 
 use protean_amulet::{generate, init_cold_chain, GenConfig, PUBLIC_BASE, PUBLIC_SIZE};
-use protean_arch::{ArchState, Emulator, ObserverMode, ThreadedProgram};
+use protean_arch::{ArchState, Emulator, ExitStatus, ObserverMode, ThreadedProgram};
 use protean_cc::{compile_with, public_typing, Pass};
 use protean_isa::{Program, Reg};
 use protean_testkit::{Checker, Rng};
@@ -112,6 +113,48 @@ fn threaded_oracle_matches_interpreter_exactly() {
                         observer.trace(&fast_records),
                         "{} projection diverged: {ctx}",
                         observer.name()
+                    );
+                }
+            }
+        });
+}
+
+/// Truncated step budgets: both backends must stop at the same step with
+/// the same status (`StepLimit` when the budget cuts the run short), and
+/// the records of the cut run must be exactly the prefix of the full
+/// run's records. The campaign relies on this: a mutant whose SEQ run
+/// hits the budget is never compared, so the backends must agree on
+/// which runs those are.
+#[test]
+fn threaded_oracle_matches_interpreter_under_truncated_budgets() {
+    Checker::new("threaded_oracle_matches_interpreter_under_truncated_budgets")
+        .cases(12)
+        .run(arb_case, |(seed, programs, input)| {
+            for program in programs {
+                let threaded = ThreadedProgram::new(program);
+                let (full_exit, full) = Emulator::new(program, input.clone()).run(MAX_STEPS);
+                let n = full.len() as u64;
+                for budget in [0, 1, 7, n / 2, n.saturating_sub(1), n, n + 1] {
+                    let ctx = format!("seed={seed:#x} budget={budget} of {n}");
+                    let mut interp = Emulator::new(program, input.clone());
+                    let (interp_exit, interp_records) = interp.run(budget);
+                    let mut fast = Emulator::with_threaded(program, &threaded, input.clone());
+                    let (fast_exit, fast_records) = fast.run(budget);
+                    assert_eq!(interp_exit, fast_exit, "exit status diverged: {ctx}");
+                    if budget < n {
+                        assert_eq!(interp_exit, ExitStatus::StepLimit, "{ctx}");
+                    } else if n < MAX_STEPS {
+                        assert_eq!(interp_exit, full_exit, "{ctx}");
+                    }
+                    assert_eq!(interp.steps(), fast.steps(), "step count diverged: {ctx}");
+                    assert_eq!(
+                        interp_records, fast_records,
+                        "ExecRecord stream diverged: {ctx}"
+                    );
+                    assert_eq!(
+                        interp_records[..],
+                        full[..interp_records.len()],
+                        "not a prefix of the full run: {ctx}"
                     );
                 }
             }

@@ -1,5 +1,5 @@
 //! Differential test: the flat SoA + word-bitmap [`Cache`] against the
-//! retained boxed-`bool` oracle [`BoolMetaCache`].
+//! boxed-`bool` oracle [`BoolMetaCache`] (kept in `bool_meta_cache/`).
 //!
 //! Random interleavings of every public cache operation — access,
 //! invalidate, probe, `meta_set`/`meta_any`/`meta_all` with cross-line
@@ -10,7 +10,10 @@
 //! address space, so the wrapping byte-count contract (`u64::MAX - 3`
 //! + 8 bytes wraps through 0) is exercised on every run.
 
-use protean_sim::{BoolMetaCache, Cache, CacheConfig};
+mod bool_meta_cache;
+
+use bool_meta_cache::BoolMetaCache;
+use protean_sim::{Cache, CacheConfig};
 use protean_testkit::{Checker, Rng};
 
 /// One cache operation of the differential scripts.
@@ -185,4 +188,32 @@ fn cache_flat_equiv_pinned_wrap_cases() {
             ops,
         });
     }
+}
+
+#[test]
+fn oracle_agrees_on_the_unit_scenarios() {
+    // Spot-check the boxed-bool oracle against the flat cache on the
+    // lifecycle scenario (the exhaustive version is the
+    // `cache_flat_equiv` differential test).
+    let cfg = CacheConfig {
+        size_bytes: 256,
+        ways: 2,
+        line_bytes: 64,
+        latency: 1,
+    };
+    let mut flat = Cache::new(cfg, true);
+    let mut oracle = BoolMetaCache::new(cfg, true);
+    for a in [0x40u64, 0x0c0, 0x140, u64::MAX - 3, 0x40] {
+        assert_eq!(flat.access(a), oracle.access(a));
+    }
+    flat.meta_set(u64::MAX - 3, 8, false);
+    oracle.meta_set(u64::MAX - 3, 8, false);
+    for (addr, size) in [(u64::MAX - 3, 8), (0x40, 9), (0, 4)] {
+        assert_eq!(flat.meta_any(addr, size), oracle.meta_any(addr, size));
+        assert_eq!(flat.meta_all(addr, size), oracle.meta_all(addr, size));
+    }
+    assert_eq!(flat.tag_observation(), oracle.tag_observation());
+    assert_eq!(flat.invalidate(0x140), oracle.invalidate(0x140));
+    assert_eq!(flat.tag_observation(), oracle.tag_observation());
+    assert_eq!((flat.hits, flat.misses), (oracle.hits, oracle.misses));
 }
