@@ -50,6 +50,11 @@ echo "== one-backend golden fixtures: scheduler/front end + fuzz reports (releas
 # cached-wheel-minimum and slot/seq consistency asserts.
 cargo test -q --release --offline -p protean-bench --test golden_backends
 cargo test -q --offline -p protean-bench --test golden_backends
+# The same cases on ROBs whose size is not a power of two (24, 48, 384
+# entries), so the slot ring the ROB lives in has spare slots; every
+# preset fills its ring exactly.
+cargo test -q --release --offline -p protean-bench --test golden_rob_sizes
+cargo test -q --offline -p protean-bench --test golden_rob_sizes
 cargo test -q --release --offline -p protean-bench --test golden_fuzz
 cargo test -q --offline -p protean-bench --test golden_fuzz
 

@@ -1,19 +1,21 @@
-//! Shared runs of the `golden_backends` fixture.
+//! Shared runs of the `golden_backends` and `golden_rob_sizes` fixtures.
 //!
 //! The random amulet-generated programs of the scheduler and front-end
 //! differential tests (the same six property-test cases from the
 //! default `protean_testkit` campaign seed) run through **every shipped
-//! defense** on the tiny, high-squash-pressure core. Each run is
+//! defense** on a given core configuration: the tiny,
+//! high-squash-pressure core for `golden_backends`, and cores with
+//! non-power-of-two ROBs for `golden_rob_sizes`. Each run is
 //! reduced to a full observable snapshot — exit reason, final
 //! registers, architectural protection bits, adversary-visible cache
 //! tags, per-µop commit timing, committed instruction indices and every
 //! `Stats` counter — and compared against a committed fixture.
 //!
-//! The fixture was recorded while the flat ROB-slot scheduler and the
-//! ordered-set scheduler, and the decode-once front end and the
-//! decode-per-visit front end, were still asserted observationally
-//! identical on exactly these runs, so every line is also the
-//! observable of each retired leg.
+//! The `golden_backends` fixture was recorded while the flat ROB-slot
+//! scheduler and the ordered-set scheduler, and the decode-once front
+//! end and the decode-per-visit front end, were still asserted
+//! observationally identical on exactly these runs, so every line is
+//! also the observable of each retired leg.
 
 use protean_amulet::{generate, init_cold_chain, GenConfig, PUBLIC_BASE, PUBLIC_SIZE};
 use protean_arch::ArchState;
@@ -45,8 +47,10 @@ const DEFENSES: [Defense; 14] = [
     Defense::RawAccessTrack,
 ];
 
-/// Command that rewrites the fixture.
-pub const REGEN: &str = "PROTEAN_GOLDEN_REGEN=1 cargo test -p protean-bench --test golden_backends";
+/// Command that rewrites the fixture `name` (its test has the same name).
+fn regen_command(name: &str) -> String {
+    format!("PROTEAN_GOLDEN_REGEN=1 cargo test -p protean-bench --test {name}")
+}
 
 /// The program seeds of the default property-test campaign: case seeds
 /// drawn from [`DEFAULT_SEED`] through SplitMix64, each seeding the
@@ -81,8 +85,8 @@ fn case(seed: u64) -> (Program, ArchState) {
     (program, state)
 }
 
-fn run(program: &Program, input: &ArchState, defense: Defense) -> SimResult {
-    let mut core = Core::new(program, CoreConfig::test_tiny(), defense.make(), input);
+fn run(program: &Program, input: &ArchState, cfg: &CoreConfig, defense: Defense) -> SimResult {
+    let mut core = Core::new(program, cfg.clone(), defense.make(), input);
     core.record_traces(true);
     core.run(MAX_INSTS, MAX_CYCLES)
 }
@@ -113,37 +117,40 @@ fn digest(r: &SimResult) -> String {
     )
 }
 
-pub fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_backends.txt")
+/// Path of the committed fixture `name` (`golden_backends`, ...).
+pub fn fixture_path(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/{name}.txt"))
 }
 
-/// Every case × defense run on the current core, one fixture line each.
-pub fn observed() -> String {
+/// Every case × defense run on a core built from `cfg`, one fixture
+/// line each.
+pub fn observed(cfg: &CoreConfig) -> String {
     let mut got = String::new();
     for seed in case_seeds() {
         let (program, input) = case(seed);
         for defense in DEFENSES {
-            let r = run(&program, &input, defense);
+            let r = run(&program, &input, cfg, defense);
             got.push_str(&format!("{seed:016x}/{defense:?}: {}\n", digest(&r)));
         }
     }
     got
 }
 
-/// Asserts that `got` equals the committed fixture line by line; `what`
-/// names the divergence in the failure message.
-pub fn assert_matches_fixture(got: &str, what: &str) {
-    let path = fixture_path();
+/// Asserts that `got` equals the committed fixture `name` line by line;
+/// `what` names the divergence in the failure message.
+pub fn assert_matches_fixture(got: &str, name: &str, what: &str) {
+    let path = fixture_path(name);
+    let regen = regen_command(name);
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing golden fixture {} ({e}); regenerate with {REGEN}",
+            "missing golden fixture {} ({e}); regenerate with {regen}",
             path.display()
         )
     });
     for (g, w) in got.lines().zip(want.lines()) {
         assert_eq!(
             g, w,
-            "{what}; if the change is intentional, regenerate with {REGEN}"
+            "{what}; if the change is intentional, regenerate with {regen}"
         );
     }
     assert_eq!(got.lines().count(), want.lines().count());

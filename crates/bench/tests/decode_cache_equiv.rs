@@ -11,10 +11,13 @@
 
 mod backends;
 
+use protean_sim::CoreConfig;
+
 #[test]
 fn decoded_and_legacy_paths_are_observationally_identical() {
     backends::assert_matches_fixture(
-        &backends::observed(),
+        &backends::observed(&CoreConfig::test_tiny()),
+        "golden_backends",
         "decoded front end diverged from the recorded decode-per-visit leg",
     );
 }

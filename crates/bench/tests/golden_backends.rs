@@ -14,15 +14,21 @@
 
 mod backends;
 
+use protean_sim::CoreConfig;
+
 #[test]
 fn scheduler_and_front_end_match_golden_fixture() {
-    let got = backends::observed();
+    let got = backends::observed(&CoreConfig::test_tiny());
     if std::env::var_os("PROTEAN_GOLDEN_REGEN").is_some() {
-        let path = backends::fixture_path();
+        let path = backends::fixture_path("golden_backends");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
         println!("regenerated {}", path.display());
         return;
     }
-    backends::assert_matches_fixture(&got, "run drifted from the golden fixture");
+    backends::assert_matches_fixture(
+        &got,
+        "golden_backends",
+        "run drifted from the golden fixture",
+    );
 }

@@ -10,10 +10,13 @@
 
 mod backends;
 
+use protean_sim::CoreConfig;
+
 #[test]
 fn flat_and_btree_schedulers_are_observationally_identical() {
     backends::assert_matches_fixture(
-        &backends::observed(),
+        &backends::observed(&CoreConfig::test_tiny()),
+        "golden_backends",
         "flat scheduler diverged from the recorded ordered-set leg",
     );
 }
