@@ -146,17 +146,17 @@ impl DefensePolicy for SptPolicy {
         if u.inst.is_branch() {
             return true;
         }
-        if !self.xmit.is_transmitter(&u.inst) {
+        if !u.is_transmitter {
             return true;
         }
-        fr.is_non_speculative(u.seq) || !sensitive_value_tainted(u, &self.xmit, tags)
+        fr.is_non_speculative(u.seq) || !sensitive_value_tainted(u, tags)
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
         if fr.is_non_speculative(u.seq) {
             return true;
         }
-        if sensitive_value_tainted(u, &self.xmit, tags) {
+        if sensitive_value_tainted(u, tags) {
             return false;
         }
         // `ret`: the loaded target itself must be public.
@@ -174,7 +174,7 @@ impl DefensePolicy for SptPolicy {
             BlockPoint::Execute => "private-transmitter-delay",
             BlockPoint::Wakeup => "blocked",
             BlockPoint::Resolve => {
-                if sensitive_value_tainted(u, &self.xmit, tags) {
+                if sensitive_value_tainted(u, tags) {
                     "private-branch-resolve"
                 } else {
                     "private-ret-target-resolve"
@@ -197,8 +197,8 @@ impl DefensePolicy for SptPolicy {
         // exact copies could establish); this inability to "publish
         // backwards" is why SPT keeps stalling on pointer-shaped data
         // that ProtCC unprotects statically (§IX-B2, §IX-B3).
-        if self.xmit.is_transmitter(&u.inst) {
-            for &p in sensitive_phys(u, &self.xmit).iter() {
+        if u.is_transmitter {
+            for &p in sensitive_phys(u).iter() {
                 tags.taint[p] = false;
             }
         }

@@ -67,7 +67,7 @@ impl DefensePolicy for SptSbPolicy {
         if u.inst.is_branch() {
             return true;
         }
-        !self.xmit.is_transmitter(&u.inst) || fr.is_non_speculative(u.seq)
+        !u.is_transmitter || fr.is_non_speculative(u.seq)
     }
 
     fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {

@@ -101,10 +101,10 @@ impl DefensePolicy for SttPolicy {
         if u.inst.is_branch() {
             return true; // branches execute; their *resolution* is gated
         }
-        if !self.xmit.is_transmitter(&u.inst) {
+        if !u.is_transmitter {
             return true;
         }
-        fr.is_non_speculative(u.seq) || !sensitive_root_tainted(u, &self.xmit, tags, fr)
+        fr.is_non_speculative(u.seq) || !sensitive_root_tainted(u, tags, fr)
     }
 
     fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
@@ -112,7 +112,7 @@ impl DefensePolicy for SttPolicy {
             return true;
         }
         // A squash transmits the branch predicate / target.
-        if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+        if sensitive_root_tainted(u, tags, fr) {
             return false;
         }
         // `ret` transmits its speculatively *loaded* target, which is
@@ -131,7 +131,7 @@ impl DefensePolicy for SttPolicy {
             BlockPoint::Execute => "tainted-transmitter-delay",
             BlockPoint::Wakeup => "blocked",
             BlockPoint::Resolve => {
-                if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+                if sensitive_root_tainted(u, tags, fr) {
                     "tainted-branch-resolve"
                 } else {
                     "tainted-ret-target-resolve"

@@ -53,6 +53,8 @@ fn worst_case_uop(seq: u64) -> DynInst {
         prot_out: true,
         src_prot: true,
         sens_prot: true,
+        is_transmitter: true,
+        sens_regs: protean_isa::RegSet::from_regs([Reg::R0]),
         mem_prot: Some(true),
         in_taint: true,
         in_yrot: seq.saturating_sub(1).max(1),

@@ -103,28 +103,28 @@ impl DefensePolicy for ProtDelayPolicy {
         }
     }
 
-    fn may_execute(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
+    fn may_execute(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
         if u.inst.is_branch() {
             return true;
         }
-        if !self.xmit.is_transmitter(&u.inst) {
+        if !u.is_transmitter {
             return true;
         }
         // Access transmitters may not transmit speculatively.
-        fr.is_non_speculative(u.seq) || !is_access_transmitter(u, &self.xmit, tags)
+        fr.is_non_speculative(u.seq) || !is_access_transmitter(u)
     }
 
     fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
         !u.delay_wakeup_nonspec || fr.is_non_speculative(u.seq)
     }
 
-    fn may_resolve(&self, u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
+    fn may_resolve(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
         if fr.is_non_speculative(u.seq) {
             return true;
         }
         // A branch whose predicate/target is protected is an access
         // transmitter: its squash signal may not fire speculatively.
-        if is_access_transmitter(u, &self.xmit, tags) {
+        if is_access_transmitter(u) {
             return false;
         }
         // `ret` transmits its loaded target: protected bytes must not
@@ -136,7 +136,7 @@ impl DefensePolicy for ProtDelayPolicy {
         &self,
         u: &DynInst,
         point: BlockPoint,
-        tags: &RegTags,
+        _tags: &RegTags,
         _fr: &SpecFrontier,
     ) -> &'static str {
         match point {
@@ -149,7 +149,7 @@ impl DefensePolicy for ProtDelayPolicy {
                 }
             }
             BlockPoint::Resolve => {
-                if is_access_transmitter(u, &self.xmit, tags) {
+                if is_access_transmitter(u) {
                     "protected-branch-resolve"
                 } else {
                     "protected-ret-target-resolve"

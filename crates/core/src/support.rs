@@ -1,21 +1,22 @@
 //! Shared helpers for the Protean protection mechanisms.
 
-use protean_isa::TransmitterSet;
-use protean_sim::{DynInst, RegTags};
+use protean_sim::DynInst;
 
 /// Whether `u` is an *access transmitter* (ProtISA Definition 1): a
 /// transmitter whose sensitive operand is protected.
 ///
-/// Register-side protection is resolved at rename (`u.sens_prot`); the
-/// physical-register protection tags are immutable after rename, so no
-/// re-query is needed.
-pub fn is_access_transmitter(u: &DynInst, xmit: &TransmitterSet, _tags: &RegTags) -> bool {
-    xmit.is_transmitter(&u.inst) && u.sens_prot
+/// Both halves are resolved at rename: whether the instruction is a
+/// transmitter under the policy's transmitter set
+/// (`u.is_transmitter`), and whether a sensitive operand is protected
+/// (`u.sens_prot`; the physical-register protection tags are immutable
+/// after rename, so no re-query is needed).
+pub fn is_access_transmitter(u: &DynInst) -> bool {
+    u.is_transmitter && u.sens_prot
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use protean_isa::TransmitterSet;
 
     #[test]
     fn definition_matches_paper() {

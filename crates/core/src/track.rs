@@ -167,7 +167,7 @@ impl DefensePolicy for ProtTrackPolicy {
         if u.inst.is_branch() {
             return true;
         }
-        if !self.xmit.is_transmitter(&u.inst) {
+        if !u.is_transmitter {
             return true;
         }
         if fr.is_non_speculative(u.seq) {
@@ -175,8 +175,7 @@ impl DefensePolicy for ProtTrackPolicy {
         }
         // Tainted sensitive operand (AccessTrack) or protected sensitive
         // operand (access transmitter): stall.
-        !sensitive_root_tainted(u, &self.xmit, tags, fr)
-            && !is_access_transmitter(u, &self.xmit, tags)
+        !sensitive_root_tainted(u, tags, fr) && !is_access_transmitter(u)
     }
 
     fn may_wakeup(&self, u: &DynInst, _tags: &RegTags, fr: &SpecFrontier) -> bool {
@@ -191,10 +190,10 @@ impl DefensePolicy for ProtTrackPolicy {
         if fr.is_non_speculative(u.seq) {
             return true;
         }
-        if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+        if sensitive_root_tainted(u, tags, fr) {
             return false;
         }
-        if is_access_transmitter(u, &self.xmit, tags) {
+        if is_access_transmitter(u) {
             return false;
         }
         // `ret`: loaded target must be neither protected nor tainted.
@@ -224,7 +223,7 @@ impl DefensePolicy for ProtTrackPolicy {
     ) -> &'static str {
         match point {
             BlockPoint::Execute => {
-                if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+                if sensitive_root_tainted(u, tags, fr) {
                     "tainted-transmitter-delay"
                 } else {
                     "access-transmitter-delay"
@@ -238,9 +237,9 @@ impl DefensePolicy for ProtTrackPolicy {
                 }
             }
             BlockPoint::Resolve => {
-                if sensitive_root_tainted(u, &self.xmit, tags, fr) {
+                if sensitive_root_tainted(u, tags, fr) {
                     "tainted-branch-resolve"
-                } else if is_access_transmitter(u, &self.xmit, tags) {
+                } else if is_access_transmitter(u) {
                     "protected-branch-resolve"
                 } else {
                     "ret-target-resolve"

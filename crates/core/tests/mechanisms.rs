@@ -202,6 +202,8 @@ fn protean_policies_never_block_at_the_head() {
         prot_out: true,
         src_prot: true,
         sens_prot: true,
+        is_transmitter: true,
+        sens_regs: protean_isa::RegSet::from_regs([Reg::R0]),
         mem_prot: Some(true),
         in_taint: true,
         in_yrot: seq - 1,

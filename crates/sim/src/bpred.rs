@@ -2,7 +2,7 @@
 //! buffer, and a return stack buffer (paper Tab. III: 4K-entry BTB,
 //! 16-entry RSB, TAGE).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A tagged geometric-history direction predictor ("TAGE-lite"): a
 /// bimodal base table plus three tagged tables with geometrically
@@ -278,6 +278,13 @@ impl Btb {
 ///
 /// Implemented as a true ring buffer: overflow overwrites the oldest
 /// entry in O(1) (`push` sits on the fetch hot path, once per `call`).
+///
+/// Snapshots are shared as `Rc<[u64]>`, not `Arc`: a core is built and
+/// run on one thread, so the per-µop snapshot clone and drop pay a
+/// plain counter update instead of an atomic one. It makes `Rsb`
+/// `!Send`, which costs nothing: the core holding it never was `Send`
+/// (its policy is a plain `Box<dyn DefensePolicy>`), and parallel
+/// runners build one core per worker thread.
 #[derive(Clone, Debug)]
 pub struct Rsb {
     buf: Vec<u64>,
@@ -289,8 +296,8 @@ pub struct Rsb {
     /// Interned snapshot of the current contents, shared by every
     /// in-flight µop fetched until the next push/pop/restore. Fetch
     /// takes one snapshot per µop; straight-line code between calls
-    /// and returns reuses this `Arc` instead of cloning a `Vec`.
-    cached: Option<Arc<[u64]>>,
+    /// and returns reuses this `Rc` instead of cloning a `Vec`.
+    cached: Option<Rc<[u64]>>,
 }
 
 impl Rsb {
@@ -339,16 +346,16 @@ impl Rsb {
             .collect()
     }
 
-    /// Like [`Rsb::snapshot`], but interned: the returned `Arc` is
+    /// Like [`Rsb::snapshot`], but interned: the returned `Rc` is
     /// cached and reused until the contents next change, so per-µop
-    /// snapshotting on the fetch path is a refcount bump, not an
-    /// allocation.
-    pub fn snapshot_shared(&mut self) -> Arc<[u64]> {
+    /// snapshotting on the fetch path is a non-atomic refcount bump,
+    /// not an allocation.
+    pub fn snapshot_shared(&mut self) -> Rc<[u64]> {
         if let Some(s) = &self.cached {
-            return Arc::clone(s);
+            return Rc::clone(s);
         }
-        let s: Arc<[u64]> = self.snapshot().into();
-        self.cached = Some(Arc::clone(&s));
+        let s: Rc<[u64]> = self.snapshot().into();
+        self.cached = Some(Rc::clone(&s));
         s
     }
 
@@ -601,11 +608,11 @@ mod tests {
         rsb.push(7);
         let a = rsb.snapshot_shared();
         let b = rsb.snapshot_shared();
-        assert!(Arc::ptr_eq(&a, &b), "unchanged RSB must reuse the Arc");
+        assert!(Rc::ptr_eq(&a, &b), "unchanged RSB must reuse the Rc");
         assert_eq!(&*a, &[7]);
         rsb.push(9);
         let c = rsb.snapshot_shared();
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Rc::ptr_eq(&a, &c));
         assert_eq!(&*c, &[7, 9]);
         rsb.restore(&a);
         assert_eq!(rsb.snapshot(), vec![7]);

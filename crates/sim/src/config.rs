@@ -1,6 +1,8 @@
 //! Core and memory-hierarchy configuration, with presets resembling the
 //! Intel Alder Lake hybrid processor of the paper's Tab. III.
 
+use std::fmt;
+
 /// The speculation model: when an instruction stops being *speculative*
 /// (paper §II-B2).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -117,7 +119,64 @@ pub struct CoreConfig {
     pub trace: bool,
 }
 
+/// Why a [`CoreConfig`] cannot build a core ([`CoreConfig::validate`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ConfigError {
+    /// A width, port count or queue size that must be positive is zero;
+    /// carries the field name.
+    Zero(&'static str),
+    /// The issue window is deeper than the ROB it scans.
+    IqExceedsRob {
+        /// The configured `iq_size`.
+        iq_size: usize,
+        /// The configured `rob_size`.
+        rob_size: usize,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::Zero(field) => write!(f, "`{field}` must be positive"),
+            ConfigError::IqExceedsRob { iq_size, rob_size } => {
+                write!(f, "`iq_size` ({iq_size}) exceeds `rob_size` ({rob_size})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl CoreConfig {
+    /// Checks the configuration can run: every width, port count and
+    /// ROB/IQ/LQ/SQ size positive, and the issue window no deeper than
+    /// the ROB. A zero width or port count would otherwise stall the
+    /// pipeline until the watchdog reports a `Deadlock`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        for (field, value) in [
+            ("fetch_width", self.fetch_width),
+            ("issue_width", self.issue_width),
+            ("commit_width", self.commit_width),
+            ("alu_ports", self.alu_ports),
+            ("mem_ports", self.mem_ports),
+            ("rob_size", self.rob_size),
+            ("iq_size", self.iq_size),
+            ("lq_size", self.lq_size),
+            ("sq_size", self.sq_size),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::Zero(field));
+            }
+        }
+        if self.iq_size > self.rob_size {
+            return Err(ConfigError::IqExceedsRob {
+                iq_size: self.iq_size,
+                rob_size: self.rob_size,
+            });
+        }
+        Ok(())
+    }
+
     /// A Golden Cove-like performance core (Tab. III).
     pub fn p_core() -> CoreConfig {
         CoreConfig {
@@ -298,6 +357,91 @@ mod tests {
                 cfg.l1d.size_bytes
             );
         }
+    }
+
+    #[test]
+    fn every_preset_validates() {
+        for cfg in [
+            CoreConfig::p_core(),
+            CoreConfig::e_core(),
+            CoreConfig::e_core_mt(),
+            CoreConfig::test_tiny(),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{}", cfg.name);
+        }
+    }
+
+    /// `test_tiny` with `field` set to zero must be rejected naming it.
+    fn assert_zero_rejected(field: &'static str, set: impl FnOnce(&mut CoreConfig)) {
+        let mut cfg = CoreConfig::test_tiny();
+        set(&mut cfg);
+        assert_eq!(cfg.validate(), Err(ConfigError::Zero(field)));
+    }
+
+    #[test]
+    fn rejects_zero_fetch_width() {
+        assert_zero_rejected("fetch_width", |c| c.fetch_width = 0);
+    }
+
+    #[test]
+    fn rejects_zero_issue_width() {
+        assert_zero_rejected("issue_width", |c| c.issue_width = 0);
+    }
+
+    #[test]
+    fn rejects_zero_commit_width() {
+        assert_zero_rejected("commit_width", |c| c.commit_width = 0);
+    }
+
+    #[test]
+    fn rejects_zero_alu_ports() {
+        assert_zero_rejected("alu_ports", |c| c.alu_ports = 0);
+    }
+
+    #[test]
+    fn rejects_zero_mem_ports() {
+        assert_zero_rejected("mem_ports", |c| c.mem_ports = 0);
+    }
+
+    #[test]
+    fn rejects_zero_rob_size() {
+        assert_zero_rejected("rob_size", |c| c.rob_size = 0);
+    }
+
+    #[test]
+    fn rejects_zero_iq_size() {
+        assert_zero_rejected("iq_size", |c| c.iq_size = 0);
+    }
+
+    #[test]
+    fn rejects_zero_lq_size() {
+        assert_zero_rejected("lq_size", |c| c.lq_size = 0);
+    }
+
+    #[test]
+    fn rejects_zero_sq_size() {
+        assert_zero_rejected("sq_size", |c| c.sq_size = 0);
+    }
+
+    #[test]
+    fn rejects_iq_deeper_than_rob() {
+        let mut cfg = CoreConfig::test_tiny();
+        cfg.iq_size = cfg.rob_size + 1;
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::IqExceedsRob {
+                iq_size: 33,
+                rob_size: 32
+            }
+        );
+        assert_eq!(err.to_string(), "`iq_size` (33) exceeds `rob_size` (32)");
+        cfg.iq_size = cfg.rob_size;
+        assert_eq!(
+            cfg.validate(),
+            Ok(()),
+            "a window as deep as the ROB is fine"
+        );
     }
 
     #[test]

@@ -151,6 +151,11 @@ pub trait DefensePolicy {
     /// final, fixed versions of all defenses treat division µops as
     /// transmitters; the pre-fix versions (`TransmitterSet::legacy`) are
     /// kept for the §VII-B4b reproduction.
+    ///
+    /// Read once per [`crate::Core::reset`]: the pipeline classifies
+    /// every static instruction under it and hands the result to the
+    /// hooks as [`DynInst::is_transmitter`] and [`DynInst::sens_regs`],
+    /// so it must not change while the policy runs.
     fn transmitters(&self) -> TransmitterSet {
         TransmitterSet::paper()
     }
@@ -256,35 +261,31 @@ pub fn propagate_tags(u: &mut DynInst, tags: &mut RegTags) {
     }
 }
 
-/// Physical registers of `u`'s *sensitive* operands under transmitter set
-/// `t` (the registers whose values the µop transmits). Allocation-free:
-/// a µop has at most a handful of sources, so the result is inline.
-pub fn sensitive_phys(u: &DynInst, t: &TransmitterSet) -> protean_isa::InlineVec<usize, 4> {
-    let sens = t.sensitive_regs(&u.inst);
+/// Physical registers of `u`'s *sensitive* operands (the registers whose
+/// values the µop transmits) under the policy's transmitter set, which
+/// the pipeline resolved per static instruction into `u.sens_regs`.
+/// Allocation-free: a µop has at most a handful of sources, so the
+/// result is inline.
+pub fn sensitive_phys(u: &DynInst) -> protean_isa::InlineVec<usize, 4> {
     u.srcs
         .iter()
-        .filter(|(r, _)| sens.contains(*r))
+        .filter(|(r, _)| u.sens_regs.contains(*r))
         .map(|(_, p)| *p)
         .collect()
 }
 
 /// Whether any sensitive operand of `u` is tainted under STT-style
 /// root-based taint.
-pub fn sensitive_root_tainted(
-    u: &DynInst,
-    t: &TransmitterSet,
-    tags: &RegTags,
-    fr: &SpecFrontier,
-) -> bool {
-    sensitive_phys(u, t)
+pub fn sensitive_root_tainted(u: &DynInst, tags: &RegTags, fr: &SpecFrontier) -> bool {
+    sensitive_phys(u)
         .iter()
         .any(|&p| fr.root_speculative(tags.yrot[p]))
 }
 
 /// Whether any sensitive operand of `u` is tainted under SPT-style value
 /// taint.
-pub fn sensitive_value_tainted(u: &DynInst, t: &TransmitterSet, tags: &RegTags) -> bool {
-    sensitive_phys(u, t).iter().any(|&p| tags.taint[p])
+pub fn sensitive_value_tainted(u: &DynInst, tags: &RegTags) -> bool {
+    sensitive_phys(u).iter().any(|&p| tags.taint[p])
 }
 
 /// The unsafe baseline: the unmodified out-of-order core.

@@ -52,7 +52,7 @@ pub mod trace;
 
 pub use bpred::{Btb, Rsb, TagePredictor, HIST_LENGTHS};
 pub use cache::{AccessResult, Cache};
-pub use config::{CacheConfig, CoreConfig, MemProtTracking, SpeculationModel};
+pub use config::{CacheConfig, ConfigError, CoreConfig, MemProtTracking, SpeculationModel};
 pub use defense::{
     propagate_tags, sensitive_phys, sensitive_root_tainted, sensitive_value_tainted, BlockPoint,
     DefensePolicy, RegTags, Seq, SpecFrontier, SquashKind, UnsafePolicy, NO_ROOT,

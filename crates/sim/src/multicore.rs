@@ -93,7 +93,7 @@ impl Multicore {
         max_insts: u64,
         max_cycles: u64,
     ) -> MulticoreResult {
-        let mut shared_l3 = Cache::new(self.cfg.l3, true);
+        let mut shared_l3 = Cache::tags_only(self.cfg.l3);
         let mut results = Vec::with_capacity(threads.len());
         for t in threads {
             // The shared L3's counters are cumulative across cores:

@@ -24,7 +24,7 @@ use protean_isa::{
     Reg, RegSet,
 };
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-destination rename bookkeeping.
 #[derive(Clone, Copy, Debug, Default)]
@@ -83,11 +83,13 @@ pub enum UopStatus {
 
 /// An in-flight µop: the unit all [`DefensePolicy`] hooks operate on.
 ///
-/// `repr(C)` pins the declaration order: the load/store disambiguation
-/// scans (`execute_load` / `execute_store`) walk the whole ROB touching
-/// only `seq`, `inst`, and `mem`, so those lead the struct and the
-/// bulky inline arrays (`srcs`, `dsts`, stage timing) trail it — a scan
-/// reads the first couple of cache lines of each entry, never the tail.
+/// `repr(C)` pins the declaration order: the fields most stages read
+/// (`seq`, `inst`, `mem`, `status`) lead the struct and the bulky
+/// inline arrays (`srcs`, `dsts`, stage timing) trail it. The load/store
+/// disambiguation walks (`execute_load` / `execute_store`) visit only
+/// the in-flight stores or loads, straight through their ROB slots, and
+/// read just `seq`, `idx` and `mem` of each — the first cache lines of
+/// the entry, never the tail.
 #[derive(Clone, Debug)]
 #[repr(C)]
 pub struct DynInst {
@@ -122,8 +124,9 @@ pub struct DynInst {
     pub hist_snapshot: u64,
     /// RSB snapshot from before this µop's fetch. Interned by the RSB
     /// ([`Rsb::snapshot_shared`]) so every µop fetched between two RSB
-    /// mutations shares one allocation.
-    pub rsb_snapshot: Arc<[u64]>,
+    /// mutations shares one allocation; an `Rc`, because a core runs on
+    /// one thread.
+    pub rsb_snapshot: Rc<[u64]>,
 
     // ---- Defense-generic state --------------------------------------
     /// `PROT` prefix: output registers are architecturally protected.
@@ -133,6 +136,14 @@ pub struct DynInst {
     /// Any *sensitive* input register protected at rename (access
     /// transmitter, under the policy's transmitter set).
     pub sens_prot: bool,
+    /// Whether the instruction is a transmitter under the policy's
+    /// transmitter set ([`DefensePolicy::transmitters`]), classified
+    /// once per static instruction at reset.
+    pub is_transmitter: bool,
+    /// The registers the instruction transmits (its sensitive operands)
+    /// under the policy's transmitter set, from the same per-static
+    /// table.
+    pub sens_regs: RegSet,
     /// Load: read protected memory (set at execute; ProtISA Def. 1
     /// memory part).
     pub mem_prot: Option<bool>,
@@ -210,6 +221,47 @@ impl DynInst {
     pub fn is_store(&self) -> bool {
         self.inst.is_store()
     }
+
+    /// The placeholder filling a ROB slot no µop has occupied yet.
+    fn vacant() -> DynInst {
+        DynInst {
+            seq: 0,
+            idx: 0,
+            pc: 0,
+            inst: Inst::new(Op::Nop),
+            mem: None,
+            status: UopStatus::Done,
+            pred_next: None,
+            pred_taken: false,
+            actual_next: None,
+            actual_taken: false,
+            mispredicted: false,
+            resolved: false,
+            wakeup_done: false,
+            hist_snapshot: 0,
+            rsb_snapshot: Rc::from(&[][..]),
+            prot_out: false,
+            src_prot: false,
+            sens_prot: false,
+            is_transmitter: false,
+            sens_regs: RegSet::new(),
+            mem_prot: None,
+            in_taint: false,
+            in_yrot: NO_ROOT,
+            delay_wakeup_nonspec: false,
+            wakeup_hold_root: NO_ROOT,
+            pred_no_access: None,
+            div_fault: false,
+            addr_regs: RegSet::new(),
+            data_reg: None,
+            fetch_cycle: 0,
+            rename_cycle: 0,
+            issue_cycle: 0,
+            complete_cycle: 0,
+            srcs: InlineVec::new(),
+            dsts: InlineVec::new(),
+        }
+    }
 }
 
 /// Why the simulation ended.
@@ -278,10 +330,12 @@ pub struct Core<'a> {
     /// program reference may point at reused storage, so no caching on
     /// pointer identity).
     decoded: DecodedProgram,
-    /// Per-static-instruction sensitive-register sets under the active
-    /// policy's transmitter set, precomputed at reset alongside the
-    /// decoded table.
+    /// Per-static-instruction sensitive-register sets and transmitter
+    /// classification under the active policy's transmitter set,
+    /// precomputed at reset alongside the decoded table and copied onto
+    /// each renamed µop.
     sens_table: Vec<RegSet>,
+    xmit_table: Vec<bool>,
     /// Static index whose L1I miss has already been booked and filled:
     /// the post-stall re-fetch must not access the cache again (it would
     /// book a spurious hit and bump the LRU clock twice).
@@ -296,7 +350,12 @@ pub struct Core<'a> {
     free_list: VecDeque<usize>,
 
     // Backend.
-    rob: VecDeque<DynInst>,
+    /// The ROB: a ring of `rob_size.next_power_of_two()` slots addressed
+    /// by the scheduler's slot numbers. The scheduler owns the ring's
+    /// positions (head, tail, length; see [`crate::sched`]); a slot
+    /// outside the live window holds a retired or squashed µop until a
+    /// later dispatch overwrites it.
+    rob: Vec<DynInst>,
     prf_value: Vec<u64>,
     prf_done: Vec<bool>,
     prf_ready: Vec<bool>,
@@ -312,13 +371,14 @@ pub struct Core<'a> {
     /// Each pipeline stage still takes one snapshot at stage start, as
     /// the per-stage scans always did.
     cached_frontier: Option<SpecFrontier>,
-    /// µops the defense denied at the execute gate this tick — recorded
-    /// so idle-cycle fast-forward can bulk-attribute the skipped cycles.
-    exec_blocked: Vec<Seq>,
+    /// Slots of the µops the defense denied at the execute gate this
+    /// tick — recorded so idle-cycle fast-forward can bulk-attribute the
+    /// skipped cycles.
+    exec_blocked: Vec<usize>,
     /// Scratch for draining the completion wheel.
-    completions: Vec<Seq>,
+    completions: Vec<usize>,
     /// Scratch for draining dependent lists in `publish_ready`.
-    dep_scratch: Vec<Seq>,
+    dep_scratch: Vec<usize>,
     /// Scratch for sorting each cache set's resident ways by recency in
     /// the end-of-run `tag_observation_into` calls (reused across runs;
     /// the observation itself goes straight into the `SimResult` vector).
@@ -326,6 +386,8 @@ pub struct Core<'a> {
 
     // Memory.
     mem: Memory,
+    /// The L1D is the one cache with per-byte metadata (ProtISA
+    /// protection / SPT shadow bits); the others are tag-only.
     l1d: Cache,
     l1i: Cache,
     l2: Cache,
@@ -366,12 +428,20 @@ const WATCHDOG_CYCLES: u64 = 100_000;
 impl<'a> Core<'a> {
     /// Creates a core running `program` from `initial` architectural
     /// state under the given defense policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`crate::ConfigError`] message if `cfg` fails
+    /// [`CoreConfig::validate`].
     pub fn new(
         program: &'a Program,
         cfg: CoreConfig,
         policy: Box<dyn DefensePolicy>,
         initial: &ArchState,
     ) -> Core<'a> {
+        if let Err(e) = cfg.validate() {
+            panic!("invalid core configuration `{}`: {e}", cfg.name);
+        }
         let n_phys = cfg.phys_regs.max(Reg::COUNT * 2);
         let meta_fill = policy.l1d_meta_fill();
         let trace_on = cfg.trace || std::env::var("PROTEAN_TRACE").is_ok_and(|v| v.trim() != "0");
@@ -391,12 +461,14 @@ impl<'a> Core<'a> {
             .max(cfg.mul_latency)
             .max(protean_isa::DIV_BASE_LATENCY + 32)
             .max(protean_isa::DIV_FAULT_LATENCY);
+        let sched = Scheduler::new(n_phys, cfg.rob_size, max_completion_latency);
         let mut core = Core {
             fetch_idx: None,
             fetch_queue: FetchQueue::default(),
             fetch_stalled_until: 0,
             decoded: DecodedProgram::default(),
             sens_table: Vec::new(),
+            xmit_table: Vec::new(),
             l1i_paid: None,
             tage: TagePredictor::new(),
             btb: Btb::new(cfg.btb_entries),
@@ -404,7 +476,7 @@ impl<'a> Core<'a> {
             rename_map: [0usize; Reg::COUNT],
             prot_map: [true; Reg::COUNT],
             free_list: VecDeque::with_capacity(n_phys),
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: vec![DynInst::vacant(); sched.capacity()],
             prf_done: vec![true; n_phys],
             prf_ready: vec![true; n_phys],
             prf_value: vec![0u64; n_phys],
@@ -412,7 +484,7 @@ impl<'a> Core<'a> {
             lq_used: 0,
             sq_used: 0,
             div_busy_until: 0,
-            sched: Scheduler::new(n_phys, cfg.rob_size, max_completion_latency),
+            sched,
             cached_frontier: None,
             exec_blocked: Vec::new(),
             completions: Vec::new(),
@@ -420,9 +492,9 @@ impl<'a> Core<'a> {
             obs_scratch: Vec::new(),
             mem: Memory::default(),
             l1d: Cache::new(cfg.l1d, meta_fill),
-            l1i: Cache::new(cfg.l1i, true),
-            l2: Cache::new(cfg.l2, true),
-            l3: Cache::new(cfg.l3, true),
+            l1i: Cache::tags_only(cfg.l1i),
+            l2: Cache::tags_only(cfg.l2),
+            l3: Cache::tags_only(cfg.l3),
             shadow_unprot: BTreeSet::new(),
             stats: Stats::default(),
             committed_regs: [0u64; Reg::COUNT],
@@ -466,13 +538,22 @@ impl<'a> Core<'a> {
     ) {
         self.program = program;
         self.policy = policy;
+        // The caches are the one piece of state `Core::new` builds
+        // already empty: refill their arrays here only, so a fresh core
+        // fills each array once.
+        self.l1d.set_meta_fill(self.policy.l1d_meta_fill());
+        self.l1d.reset();
+        self.l1i.reset();
+        self.l2.reset();
+        self.l3.reset();
         self.reinit(initial);
     }
 
     /// State (re-)initialisation shared by [`Core::new`] and
-    /// [`Core::reset`]: everything `self.cfg`-sized is assumed allocated;
-    /// all mutable simulation state is rebuilt from `initial` and
-    /// `self.policy`/`self.program`.
+    /// [`Core::reset`], except for the caches (built empty by `new`,
+    /// emptied by `reset`): everything `self.cfg`-sized is assumed
+    /// allocated; all other mutable simulation state is rebuilt from
+    /// `initial` and `self.policy`/`self.program`.
     fn reinit(&mut self, initial: &ArchState) {
         let n_phys = self.prf_value.len();
         self.cycle = 0;
@@ -494,6 +575,13 @@ impl<'a> Core<'a> {
                 .iter()
                 .map(|i| transmitters.sensitive_regs(i)),
         );
+        self.xmit_table.clear();
+        self.xmit_table.extend(
+            self.program
+                .insts
+                .iter()
+                .map(|i| transmitters.is_transmitter(i)),
+        );
         self.l1i_paid = None;
         self.tage.reset();
         self.btb.reset();
@@ -504,7 +592,6 @@ impl<'a> Core<'a> {
         self.prot_map = [true; Reg::COUNT];
         self.free_list.clear();
         self.free_list.extend(Reg::COUNT..n_phys);
-        self.rob.clear();
         self.prf_value.fill(0);
         for r in Reg::all() {
             self.prf_value[r.index()] = initial.reg(r);
@@ -521,11 +608,6 @@ impl<'a> Core<'a> {
         self.completions.clear();
         self.dep_scratch.clear();
         self.mem.clone_from(&initial.mem);
-        let meta_fill = self.policy.l1d_meta_fill();
-        self.l1d.reset(meta_fill);
-        self.l1i.reset(true);
-        self.l2.reset(true);
-        self.l3.reset(true);
         self.shadow_unprot.clear();
         self.stats = Stats::default();
         self.committed_regs = initial.regs;
@@ -690,7 +772,8 @@ impl<'a> Core<'a> {
             let idxs: Vec<u32> = g.remaining().iter().map(|e| e.idx).collect();
             let _ = writeln!(out, "  head fetch group ready@{}: {idxs:?}", g.ready_cycle);
         }
-        for u in self.rob.iter().take(8) {
+        for off in 0..self.sched.window_len().min(8) {
+            let u = &self.rob[self.sched.slot_at(off)];
             let srcs: Vec<String> = u
                 .srcs
                 .iter()
@@ -712,17 +795,21 @@ impl<'a> Core<'a> {
 
     /// The speculative-frontier snapshot for the current stage, cached
     /// until an event moves it (see [`Core::invalidate_frontier`]). The
-    /// oldest unresolved branch comes from the scheduler's ordered set
-    /// instead of an O(ROB) scan.
+    /// oldest unresolved branch comes from the scheduler's
+    /// unresolved-branch set instead of an O(ROB) scan.
     fn frontier(&mut self) -> SpecFrontier {
         if let Some(fr) = self.cached_frontier {
             return fr;
         }
-        let head_seq = self.rob.front().map(|u| u.seq).unwrap_or(Seq::MAX);
+        let head_seq = if self.sched.window_len() > 0 {
+            self.rob[self.sched.head_slot()].seq
+        } else {
+            Seq::MAX
+        };
         let oldest_unresolved_branch = self
             .sched
             .first(SetId::UnresolvedBranches)
-            .unwrap_or(Seq::MAX);
+            .map_or(Seq::MAX, |slot| self.rob[slot].seq);
         let fr = SpecFrontier {
             head_seq,
             oldest_unresolved_branch,
@@ -741,11 +828,11 @@ impl<'a> Core<'a> {
         self.cached_frontier = None;
     }
 
-    /// Records a defense denial of the µop at ROB index `i` in the trace
-    /// (no-op when tracing is off — one branch, no allocation).
-    fn trace_block(&mut self, i: usize, point: BlockPoint, fr: &SpecFrontier) {
+    /// Records a defense denial of the µop at ROB slot `slot` in the
+    /// trace (no-op when tracing is off — one branch, no allocation).
+    fn trace_block(&mut self, slot: usize, point: BlockPoint, fr: &SpecFrontier) {
         if self.tracer.is_some() {
-            let u = &self.rob[i];
+            let u = &self.rob[slot];
             let rule = self.policy.block_rule(u, point, &self.tags, fr);
             let (seq, cycle) = (u.seq, self.cycle);
             if let Some(t) = self.tracer.as_mut() {
@@ -912,11 +999,11 @@ impl<'a> Core<'a> {
                     }
                     BlockPoint::Execute => scratch.extend(self.exec_blocked.iter().copied()),
                 }
-                for &seq in &scratch {
-                    let i = self.rob_index(seq).expect("blocked µop is in the ROB");
-                    let rule = self.policy.block_rule(&self.rob[i], point, &self.tags, &fr);
+                for &slot in &scratch {
+                    let u = &self.rob[slot];
+                    let rule = self.policy.block_rule(u, point, &self.tags, &fr);
                     if let Some(t) = self.tracer.as_mut() {
-                        t.on_block_many(seq, point, cycle, last, delta, rule);
+                        t.on_block_many(u.seq, point, cycle, last, delta, rule);
                     }
                 }
             }
@@ -929,33 +1016,6 @@ impl<'a> Core<'a> {
     // ------------------------------------------------------------------
     // Completion & wakeup
     // ------------------------------------------------------------------
-
-    /// ROB index of the µop with sequence number `seq` (sequence numbers
-    /// are strictly increasing along the ROB, though not contiguous
-    /// after squashes).
-    ///
-    /// Strict monotonicity gives `rob[i].seq >= front.seq + i`, so the
-    /// µop can only sit at index `seq - front.seq` or below: guess there
-    /// and scan down. Without squash gaps the guess is exact, making
-    /// this O(1) on the hot path (it was the campaign profile's top
-    /// single symbol as a `VecDeque` binary search, ~11% of CPU).
-    fn rob_index(&self, seq: Seq) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        let mut i = ((seq - front) as usize).min(self.rob.len() - 1);
-        loop {
-            let s = self.rob[i].seq;
-            if s == seq {
-                return Some(i);
-            }
-            if s < seq || i == 0 {
-                return None;
-            }
-            i -= 1;
-        }
-    }
 
     /// Exact operand-readiness predicate of the issue stage: every
     /// source ready, except that a store's pure data operand may lag
@@ -987,20 +1047,18 @@ impl<'a> Core<'a> {
         let mut deps = std::mem::take(&mut self.dep_scratch);
         deps.clear();
         self.sched.drain_deps(phys, &mut deps);
-        for &seq in &deps {
-            let i = self
-                .rob_index(seq)
-                .expect("dependent lists hold live µops only");
-            if self.rob[i].status != UopStatus::Waiting {
+        for &slot in &deps {
+            let u = &self.rob[slot];
+            if u.status != UopStatus::Waiting {
                 continue;
             }
-            if self.operands_ready(&self.rob[i]) {
-                self.sched.insert(SetId::IssueReady, seq, i);
+            if self.operands_ready(u) {
+                self.sched.insert(SetId::IssueReady, slot);
             } else {
                 let p = self
-                    .first_unready_src(&self.rob[i])
+                    .first_unready_src(u)
                     .expect("not-ready µop has an unready source");
-                self.sched.register_dep(p, seq, i);
+                self.sched.register_dep(p, slot);
             }
         }
         self.dep_scratch = deps;
@@ -1012,11 +1070,8 @@ impl<'a> Core<'a> {
         // Completions due this cycle, straight off the event wheel.
         let mut completions = std::mem::take(&mut self.completions);
         self.sched.pop_completions(cycle, &mut completions);
-        for &seq in &completions {
-            let i = self
-                .rob_index(seq)
-                .expect("the wheel yields live µops only");
-            let u = &mut self.rob[i];
+        for &slot in &completions {
+            let u = &mut self.rob[slot];
             let UopStatus::Executing(done) = u.status else {
                 continue;
             };
@@ -1037,10 +1092,10 @@ impl<'a> Core<'a> {
                 self.prf_done[d.new_phys] = true;
             }
             if !store_needs_data && has_dsts {
-                self.sched.insert(SetId::WakeupPending, seq, i);
+                self.sched.insert(SetId::WakeupPending, slot);
             }
             if let Some(t) = self.tracer.as_mut() {
-                t.on_complete(seq, cycle);
+                t.on_complete(u.seq, cycle);
             }
             self.sched.mark_progress();
         }
@@ -1053,29 +1108,20 @@ impl<'a> Core<'a> {
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
         self.sched.collect(SetId::WakeupPending, &mut scratch);
-        for &seq in &scratch {
-            let i = self.rob_index(seq).expect("pending µop is in the ROB");
-            if self.policy.may_wakeup(&self.rob[i], &self.tags, &fr) {
-                self.rob[i].wakeup_done = true;
-                for k in 0..self.rob[i].dsts.len() {
-                    let phys = self.rob[i].dsts[k].new_phys;
+        for &slot in &scratch {
+            if self.policy.may_wakeup(&self.rob[slot], &self.tags, &fr) {
+                self.rob[slot].wakeup_done = true;
+                for k in 0..self.rob[slot].dsts.len() {
+                    let phys = self.rob[slot].dsts[k].new_phys;
                     self.publish_ready(phys);
                 }
-                self.sched.remove(SetId::WakeupPending, seq, i);
+                self.sched.remove(SetId::WakeupPending, slot);
                 self.sched.mark_progress();
             } else {
                 self.stats.wakeup_blocked_cycles += 1;
-                if self.tracer.is_some() {
-                    let u = &self.rob[i];
-                    let rule = self
-                        .policy
-                        .block_rule(u, BlockPoint::Wakeup, &self.tags, &fr);
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.on_block(seq, BlockPoint::Wakeup, cycle, rule);
-                    }
-                }
+                self.trace_block(slot, BlockPoint::Wakeup, &fr);
                 if self.debug_blocked {
-                    let u = &self.rob[i];
+                    let u = &self.rob[slot];
                     eprintln!(
                         "wakeup-blocked idx={} {} mem_prot={:?}",
                         u.idx, u.inst, u.mem_prot
@@ -1095,9 +1141,8 @@ impl<'a> Core<'a> {
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
         self.sched.collect(SetId::StoreWaiters, &mut scratch);
-        for &seq in &scratch {
-            let i = self.rob_index(seq).expect("store waiter is in the ROB");
-            let u = &self.rob[i];
+        for &slot in &scratch {
+            let u = &self.rob[slot];
             // Find the data operand.
             let (value, prot, yrot, taint, ready) = match u.inst.op {
                 Op::Store { src, .. } => match src {
@@ -1122,7 +1167,7 @@ impl<'a> Core<'a> {
                 _ => unreachable!("store waiter is a store or call"),
             };
             if ready {
-                let u = &mut self.rob[i];
+                let u = &mut self.rob[slot];
                 let m = u.mem.as_mut().expect("store has mem state");
                 m.value = value;
                 m.data_prot = prot;
@@ -1132,10 +1177,10 @@ impl<'a> Core<'a> {
                 if matches!(u.status, UopStatus::WaitingData) {
                     u.status = UopStatus::Done;
                     if !u.dsts.is_empty() {
-                        self.sched.insert(SetId::WakeupPending, seq, i);
+                        self.sched.insert(SetId::WakeupPending, slot);
                     }
                 }
-                self.sched.remove(SetId::StoreWaiters, seq, i);
+                self.sched.remove(SetId::StoreWaiters, slot);
                 self.sched.mark_progress();
             }
         }
@@ -1158,16 +1203,13 @@ impl<'a> Core<'a> {
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
         self.sched.collect(SetId::ResolvePending, &mut scratch);
-        for &seq in &scratch {
-            let i = self
-                .rob_index(seq)
-                .expect("resolve candidate is in the ROB");
-            if self.policy.may_resolve(&self.rob[i], &self.tags, &fr) {
-                chosen = Some(i);
+        for &slot in &scratch {
+            if self.policy.may_resolve(&self.rob[slot], &self.tags, &fr) {
+                chosen = Some(slot);
                 break;
             }
             self.stats.resolve_blocked_cycles += 1;
-            self.trace_block(i, BlockPoint::Resolve, &fr);
+            self.trace_block(slot, BlockPoint::Resolve, &fr);
             if buggy {
                 // Buggy arbiter (§VII-B4b): only the oldest misprediction
                 // is considered, regardless of whether the defense allows
@@ -1178,14 +1220,14 @@ impl<'a> Core<'a> {
             // Fixed arbiter: keep scanning for a younger resolvable one.
         }
         self.sched.scratch = scratch;
-        if let Some(i) = chosen {
-            self.do_branch_squash(i);
+        if let Some(slot) = chosen {
+            self.do_branch_squash(slot);
         }
     }
 
-    fn do_branch_squash(&mut self, rob_index: usize) {
+    fn do_branch_squash(&mut self, slot: usize) {
         let (seq, actual_next, hist, rsb_snap, inst, idx, actual_taken) = {
-            let u = &mut self.rob[rob_index];
+            let u = &mut self.rob[slot];
             u.resolved = true;
             (
                 u.seq,
@@ -1197,8 +1239,8 @@ impl<'a> Core<'a> {
                 u.actual_taken,
             )
         };
-        self.sched.remove(SetId::ResolvePending, seq, rob_index);
-        self.sched.remove(SetId::UnresolvedBranches, seq, rob_index);
+        self.sched.remove(SetId::ResolvePending, slot);
+        self.sched.remove(SetId::UnresolvedBranches, slot);
         self.invalidate_frontier();
         self.sched.mark_progress();
         self.stats.branch_squashes += 1;
@@ -1223,15 +1265,20 @@ impl<'a> Core<'a> {
         self.fetch_stalled_until = self.cycle + self.cfg.redirect_penalty as u64;
     }
 
-    /// Squashes every µop with `seq > surviving`, restoring the rename
-    /// map and protection map. `kind` tags the squash-cause in the trace.
-    fn squash_younger_than(&mut self, surviving: Seq, kind: SquashKind) {
-        while let Some(u) = self.rob.back() {
+    /// Squashes every µop with `seq > surviving`, youngest first,
+    /// restoring the rename map and protection map. `kind` tags the
+    /// squash-cause in the trace. Returns the slot of the oldest
+    /// squashed µop, whose record stays readable until the next
+    /// dispatch reclaims the slot.
+    fn squash_younger_than(&mut self, surviving: Seq, kind: SquashKind) -> Option<usize> {
+        let mut oldest_squashed = None;
+        while let Some(slot) = self.sched.tail_slot() {
+            let u = &self.rob[slot];
             if u.seq <= surviving {
                 break;
             }
-            let u = self.rob.pop_back().expect("checked non-empty");
-            self.sched.on_squash_pop(u.seq);
+            self.sched.on_squash_pop();
+            oldest_squashed = Some(slot);
             self.stats.squashed += 1;
             if let Some(t) = self.tracer.as_mut() {
                 t.on_squash(u.seq, self.cycle, kind);
@@ -1256,24 +1303,25 @@ impl<'a> Core<'a> {
         // `crate::sched`).
         self.invalidate_frontier();
         self.policy.on_squash(surviving);
+        oldest_squashed
     }
 
     /// Squash used by memory-order violations and division machine
     /// clears: restores the front end from the first squashed µop's
     /// snapshot.
     fn squash_and_refetch(&mut self, surviving: Seq, refetch: Option<u32>, kind: SquashKind) {
-        // Find the first squashed entry's snapshot before popping.
-        let snap = self
-            .rob
-            .iter()
-            .find(|u| u.seq > surviving)
-            .map(|u| (u.hist_snapshot, u.rsb_snapshot.clone()))
-            .or_else(|| {
-                self.fetch_queue
-                    .head()
-                    .map(|(f, _)| (f.hist_snapshot, f.rsb_snapshot.clone()))
-            });
-        self.squash_younger_than(surviving, kind);
+        // The first squashed µop's snapshot, else (nothing younger in the
+        // ROB) the next fetched one's.
+        let snap = match self.squash_younger_than(surviving, kind) {
+            Some(slot) => {
+                let u = &self.rob[slot];
+                Some((u.hist_snapshot, u.rsb_snapshot.clone()))
+            }
+            None => self
+                .fetch_queue
+                .head()
+                .map(|(f, _)| (f.hist_snapshot, f.rsb_snapshot.clone())),
+        };
         if let Some((h, r)) = snap {
             self.with_comp(Section::Bpred, |c| {
                 c.tage.restore_history(h);
@@ -1298,7 +1346,13 @@ impl<'a> Core<'a> {
 
     fn commit(&mut self) {
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.front() else { return };
+            if self.sched.window_len() == 0 {
+                return;
+            }
+            // The head is read in place in its ring slot; the slot is
+            // retired below but keeps its record until a later dispatch.
+            let slot = self.sched.head_slot();
+            let head = &self.rob[slot];
             if head.status != UopStatus::Done {
                 return;
             }
@@ -1307,70 +1361,67 @@ impl<'a> Core<'a> {
                 // allowed once non-speculative).
                 return;
             }
-            // Scheduler entries for the head must be cleared while it
-            // still occupies ROB index 0: the flat backend frees the
-            // head's ring slot at `on_commit_head`.
-            {
-                let head = self.rob.front().expect("checked above");
-                let seq = head.seq;
-                if !head.wakeup_done && !head.dsts.is_empty() {
-                    // The head may commit while its wakeup is still
-                    // denied — its pending entry must not outlive its
-                    // ROB slot.
-                    self.sched.remove(SetId::WakeupPending, seq, 0);
-                }
-                if head.is_load() {
-                    self.sched.remove(SetId::InflightLoads, seq, 0);
-                }
-                if head.is_store() {
-                    self.sched.remove(SetId::InflightStores, seq, 0);
-                }
+            // Scheduler entries for the head must be cleared before its
+            // slot retires at `on_commit_head`.
+            if !head.wakeup_done && !head.dsts.is_empty() {
+                // The head may commit while its wakeup is still denied —
+                // its pending entry must not outlive its ROB slot.
+                self.sched.remove(SetId::WakeupPending, slot);
             }
-            let u = self.rob.pop_front().expect("head exists");
+            let (is_load, is_store) = (head.is_load(), head.is_store());
+            if is_load {
+                self.sched.remove(SetId::InflightLoads, slot);
+            }
+            if is_store {
+                self.sched.remove(SetId::InflightStores, slot);
+            }
             self.sched.on_commit_head();
             self.no_commit_cycles = 0;
             self.invalidate_frontier();
             self.sched.mark_progress();
             self.stats.committed += 1;
+            let u = &self.rob[slot];
+            let (seq, idx, pc, inst, actual_next) = (u.seq, u.idx, u.pc, u.inst, u.actual_next);
             if let Some(t) = self.tracer.as_mut() {
-                t.on_commit(u.seq, self.cycle);
+                t.on_commit(seq, self.cycle);
             }
-            if u.is_load() {
+            if is_load {
                 self.lq_used -= 1;
                 self.stats.loads += 1;
             }
-            if u.is_store() {
+            if is_store {
                 self.sq_used -= 1;
                 self.stats.stores += 1;
             }
-            if u.inst.is_cond_branch() || u.inst.is_indirect_branch() {
+            if inst.is_cond_branch() || inst.is_indirect_branch() {
                 self.stats.branches += 1;
                 if u.mispredicted {
                     self.stats.mispredicts += 1;
                 }
             }
             // Predictor training at commit (clean, non-transient state).
-            match u.inst.op {
+            match inst.op {
                 Op::Jcc { .. } => {
-                    let (pc, pred, taken) = (u.pc, u.pred_taken, u.actual_taken);
+                    let (pred, taken) = (u.pred_taken, u.actual_taken);
                     self.with_comp(Section::Bpred, |c| c.tage.update(pc, pred, taken));
                 }
                 Op::JmpReg { .. } | Op::Ret => {
-                    if let Some(Some(t)) = u.actual_next {
-                        let (pc, target) = (u.pc, self.program.pc_of(t));
+                    if let Some(Some(t)) = actual_next {
+                        let target = self.program.pc_of(t);
                         self.with_comp(Section::Bpred, |c| c.btb.update(pc, target));
                     }
                 }
                 _ => {}
             }
             // Stores write committed state.
+            let u = &self.rob[slot];
             if let Some(m) = &u.mem {
                 if m.is_store {
                     let addr = m.addr.expect("committed store has address");
-                    self.mem.write(addr, m.size, m.value);
+                    let (size, value, prot) = (m.size, m.value, m.data_prot);
+                    self.mem.write(addr, size, value);
                     self.mem_access_for_timing(addr);
                     if self.policy.uses_protisa() {
-                        let (size, prot) = (m.size, m.data_prot);
                         self.with_comp(Section::CacheMeta, |c| {
                             c.update_mem_prot_on_store(addr, size, prot)
                         });
@@ -1389,14 +1440,16 @@ impl<'a> Core<'a> {
             // readable (any defense wakeup-delay ends at non-speculation,
             // and commit is past that), so publish them even if the
             // wakeup pass never ran this µop.
-            for d in &u.dsts {
+            for k in 0..self.rob[slot].dsts.len() {
+                let d = self.rob[slot].dsts[k];
                 self.committed_regs[d.arch.index()] = d.value;
                 self.prf_done[d.new_phys] = true;
                 self.publish_ready(d.new_phys);
                 // Free the previous mapping.
                 self.free_list.push_back(d.prev_phys);
             }
-            self.policy.on_commit(&u, &mut self.tags, &mut self.l1d);
+            let u = &self.rob[slot];
+            self.policy.on_commit(u, &mut self.tags, &mut self.l1d);
             if self.record_traces {
                 self.timing.push([
                     u.pc,
@@ -1406,15 +1459,15 @@ impl<'a> Core<'a> {
                     u.complete_cycle,
                     self.cycle,
                 ]);
-                self.committed_idxs.push(u.idx);
+                self.committed_idxs.push(idx);
             }
             // Machine ends / machine clears.
-            match u.inst.op {
+            match inst.op {
                 Op::Halt => {
                     self.halted = Some(SimExit::Halted);
                     return;
                 }
-                Op::JmpReg { .. } | Op::Ret if u.actual_next == Some(None) => {
+                Op::JmpReg { .. } | Op::Ret if actual_next == Some(None) => {
                     self.halted = Some(SimExit::BadControlFlow);
                     return;
                 }
@@ -1424,7 +1477,7 @@ impl<'a> Core<'a> {
                 // Division fault: machine clear (squash younger, refetch
                 // the next instruction) — the conditional flush is the
                 // divider's timing channel (§VII-B4b).
-                self.squash_and_refetch(u.seq, Some(u.idx + 1), SquashKind::DivFault);
+                self.squash_and_refetch(seq, Some(idx + 1), SquashKind::DivFault);
                 return;
             }
         }
@@ -1508,14 +1561,12 @@ impl<'a> Core<'a> {
         let fr = self.frontier();
         // The issue window admits the `iq_size` oldest *waiting* µops,
         // ready or not — the old scan broke upon reaching the
-        // (iq_size+1)-th waiting entry, so that entry's sequence number
-        // is the exclusive cutoff for ready candidates.
+        // (iq_size+1)-th waiting entry, so that entry's slot is the
+        // exclusive cutoff for ready candidates.
         let cutoff = if self.sched.len(SetId::Waiting) > self.cfg.iq_size {
-            self.sched
-                .nth(SetId::Waiting, self.cfg.iq_size)
-                .expect("length checked")
+            self.sched.nth(SetId::Waiting, self.cfg.iq_size)
         } else {
-            Seq::MAX
+            None
         };
         let mut alu_slots = self.cfg.alu_ports;
         let mut mem_slots = self.cfg.mem_ports;
@@ -1523,18 +1574,22 @@ impl<'a> Core<'a> {
         let mut pending_violation: Option<(Seq, u32)> = None;
         let mut scratch = std::mem::take(&mut self.sched.scratch);
         scratch.clear();
-        self.sched
-            .collect_below(SetId::IssueReady, cutoff, &mut scratch);
+        match cutoff {
+            Some(bound) => self
+                .sched
+                .collect_below(SetId::IssueReady, bound, &mut scratch),
+            None => self.sched.collect(SetId::IssueReady, &mut scratch),
+        }
 
-        for &seq in &scratch {
+        for &slot in &scratch {
             if issued >= self.cfg.issue_width || (alu_slots == 0 && mem_slots == 0) {
                 break;
             }
-            let i = self.rob_index(seq).expect("issue-ready µop is in the ROB");
-            debug_assert_eq!(self.rob[i].status, UopStatus::Waiting);
-            debug_assert!(self.operands_ready(&self.rob[i]));
+            let u = &self.rob[slot];
+            debug_assert_eq!(u.status, UopStatus::Waiting);
+            debug_assert!(self.operands_ready(u));
             // Port availability.
-            let is_mem = self.rob[i].inst.is_mem();
+            let is_mem = u.inst.is_mem();
             if is_mem && mem_slots == 0 {
                 continue;
             }
@@ -1542,30 +1597,30 @@ impl<'a> Core<'a> {
                 continue;
             }
             // Divider occupancy.
-            if self.rob[i].inst.is_div() && self.div_busy_until > self.cycle {
+            if u.inst.is_div() && self.div_busy_until > self.cycle {
                 continue;
             }
             // Defense gate.
-            if !self.policy.may_execute(&self.rob[i], &self.tags, &fr) {
+            if !self.policy.may_execute(u, &self.tags, &fr) {
                 self.stats.exec_blocked_cycles += 1;
-                self.trace_block(i, BlockPoint::Execute, &fr);
+                self.trace_block(slot, BlockPoint::Execute, &fr);
                 if self.debug_blocked {
-                    let u = &self.rob[i];
+                    let u = &self.rob[slot];
                     eprintln!(
                         "blocked idx={} {} seq={} sens_prot={} yrot_in={}",
                         u.idx, u.inst, u.seq, u.sens_prot, u.in_yrot
                     );
                 }
-                self.exec_blocked.push(seq);
+                self.exec_blocked.push(slot);
                 continue;
             }
             // Execute (false = blocked, e.g. a partial store overlap).
             let executed = if !self.profile_on {
-                self.execute_uop(i, &mut pending_violation)
+                self.execute_uop(slot, &mut pending_violation)
             } else {
                 let t = std::time::Instant::now();
                 let comp = self.comp_nanos();
-                let ok = self.execute_uop(i, &mut pending_violation);
+                let ok = self.execute_uop(slot, &mut pending_violation);
                 let comp_delta = self.comp_nanos() - comp;
                 self.profile
                     .add_minus(Section::Execute, t.elapsed(), comp_delta);
@@ -1578,14 +1633,11 @@ impl<'a> Core<'a> {
                 } else {
                     alu_slots -= 1;
                 }
-                self.sched.remove(SetId::Waiting, seq, i);
-                self.sched.remove(SetId::IssueReady, seq, i);
+                self.sched.remove(SetId::Waiting, slot);
+                self.sched.remove(SetId::IssueReady, slot);
                 self.sched.mark_progress();
-                if self.tracer.is_some() {
-                    let cycle = self.cycle;
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.on_issue(seq, cycle);
-                    }
+                if let Some(t) = self.tracer.as_mut() {
+                    t.on_issue(self.rob[slot].seq, self.cycle);
                 }
             }
         }
@@ -1607,11 +1659,11 @@ impl<'a> Core<'a> {
         }
     }
 
-    /// Executes the µop at ROB index `i`. Returns `false` if it could not
-    /// issue (memory structural conflict).
-    fn execute_uop(&mut self, i: usize, pending_violation: &mut Option<(Seq, u32)>) -> bool {
+    /// Executes the µop at ROB slot `slot`. Returns `false` if it could
+    /// not issue (memory structural conflict).
+    fn execute_uop(&mut self, slot: usize, pending_violation: &mut Option<(Seq, u32)>) -> bool {
         let cycle = self.cycle;
-        let u = &self.rob[i];
+        let u = &self.rob[slot];
         let inst = u.inst;
         let mut latency = 1u32;
         let mut dst_values: InlineVec<u64, 2> = InlineVec::new();
@@ -1681,29 +1733,26 @@ impl<'a> Core<'a> {
             }
             Op::Load { addr, size, .. } => {
                 let ea = addr.effective_address(|r| self.src_val(u, r));
-                return self.execute_load(i, ea, size.bytes(), cycle);
+                return self.execute_load(slot, ea, size.bytes(), cycle);
             }
             Op::Ret => {
                 let rsp = self.src_val(u, Reg::RSP);
-                return self.execute_load(i, rsp, 8, cycle);
+                return self.execute_load(slot, rsp, 8, cycle);
             }
             Op::Store { addr, size, .. } => {
                 let ea = addr.effective_address(|r| self.src_val(u, r));
-                return self.execute_store(i, ea, size.bytes(), cycle, pending_violation);
+                return self.execute_store(slot, ea, size.bytes(), cycle, pending_violation);
             }
             Op::Call { .. } => {
                 let rsp = self.src_val(u, Reg::RSP).wrapping_sub(8);
-                let ok = self.execute_store(i, rsp, 8, cycle, pending_violation);
+                let ok = self.execute_store(slot, rsp, 8, cycle, pending_violation);
                 if ok {
-                    let seq = {
-                        let u = &mut self.rob[i];
-                        u.dsts[0].value = rsp;
-                        // A call's target is static: never mispredicted.
-                        u.actual_next = Some(u.pred_next);
-                        u.resolved = true;
-                        u.seq
-                    };
-                    self.sched.remove(SetId::UnresolvedBranches, seq, i);
+                    let u = &mut self.rob[slot];
+                    u.dsts[0].value = rsp;
+                    // A call's target is static: never mispredicted.
+                    u.actual_next = Some(u.pred_next);
+                    u.resolved = true;
+                    self.sched.remove(SetId::UnresolvedBranches, slot);
                     self.invalidate_frontier();
                 }
                 return ok;
@@ -1723,8 +1772,7 @@ impl<'a> Core<'a> {
             Op::Nop | Op::Halt => {}
         }
 
-        let u = &mut self.rob[i];
-        let seq = u.seq;
+        let u = &mut self.rob[slot];
         u.status = UopStatus::Executing(cycle + latency as u64);
         u.issue_cycle = cycle;
         u.div_fault = div_fault;
@@ -1744,14 +1792,13 @@ impl<'a> Core<'a> {
                 newly_mispredicted = true;
             }
         }
-        self.sched
-            .schedule_completion(cycle + latency as u64, seq, i);
+        self.sched.schedule_completion(cycle + latency as u64, slot);
         if newly_resolved {
-            self.sched.remove(SetId::UnresolvedBranches, seq, i);
+            self.sched.remove(SetId::UnresolvedBranches, slot);
             self.invalidate_frontier();
         }
         if newly_mispredicted {
-            self.sched.insert(SetId::ResolvePending, seq, i);
+            self.sched.insert(SetId::ResolvePending, slot);
         }
         true
     }
@@ -1759,19 +1806,15 @@ impl<'a> Core<'a> {
     /// Executes a load: store-queue search, forwarding, cache access.
     /// Returns `false` if it must retry later (partial overlap / data not
     /// ready).
-    fn execute_load(&mut self, i: usize, addr: u64, size: u64, cycle: u64) -> bool {
-        let seq = self.rob[i].seq;
+    fn execute_load(&mut self, slot: usize, addr: u64, size: u64, cycle: u64) -> bool {
         // Search older stores, youngest first. Walking the in-flight
         // store set visits exactly the stores the old full-ROB scan
-        // found at positions `(0..i).rev()`: sequence numbers are
-        // assigned in ROB order, so set order equals position order.
+        // found at the positions before the load, in reverse: set order
+        // is age order, which is position order.
         let mut fwd: Option<(u64, bool, Seq, bool, Seq)> = None;
         let mut blocked = false;
-        self.sched.for_each_store_older(seq, i, |s_seq| {
-            let j = self
-                .rob_index(s_seq)
-                .expect("in-flight store set entry is in the ROB");
-            let s = &self.rob[j];
+        self.sched.for_each_store_older(slot, |s_slot| {
+            let s = &self.rob[s_slot];
             let Some(m) = &s.mem else { return true };
             let Some(s_addr) = m.addr else { return true }; // unknown addr: speculate past
                                                             // Widen to u128: fuzzer-generated addresses reach u64::MAX,
@@ -1820,7 +1863,7 @@ impl<'a> Core<'a> {
         };
 
         let uses_protisa = self.policy.uses_protisa();
-        let u = &mut self.rob[i];
+        let u = &mut self.rob[slot];
         u.status = UopStatus::Executing(cycle + latency as u64);
         u.issue_cycle = cycle;
         let m = u.mem.as_mut().expect("load has mem state");
@@ -1856,40 +1899,36 @@ impl<'a> Core<'a> {
             }
             _ => unreachable!("execute_load on non-load"),
         }
-        self.sched
-            .schedule_completion(cycle + latency as u64, seq, i);
+        self.sched.schedule_completion(cycle + latency as u64, slot);
         if newly_resolved {
-            self.sched.remove(SetId::UnresolvedBranches, seq, i);
+            self.sched.remove(SetId::UnresolvedBranches, slot);
             self.invalidate_frontier();
         }
         if newly_mispredicted {
-            self.sched.insert(SetId::ResolvePending, seq, i);
+            self.sched.insert(SetId::ResolvePending, slot);
         }
         // Policy hook (access predictor resolution, taint from memory).
         self.policy
-            .on_load_data(&mut self.rob[i], &mut self.tags, &self.l1d);
+            .on_load_data(&mut self.rob[slot], &mut self.tags, &self.l1d);
         true
     }
 
     /// Executes a store's address phase; detects memory-order violations.
     fn execute_store(
         &mut self,
-        i: usize,
+        slot: usize,
         addr: u64,
         size: u64,
         cycle: u64,
         pending_violation: &mut Option<(Seq, u32)>,
     ) -> bool {
-        let seq = self.rob[i].seq;
+        let seq = self.rob[slot].seq;
         // Memory-order violation: any younger load that already executed
         // and overlaps (and did not forward from this or a younger
-        // store). The in-flight load set replaces the old scan over ROB
-        // positions `i + 1..` — same µops, same (age) order.
-        self.sched.for_each_load_younger(seq, i, |l_seq| {
-            let j = self
-                .rob_index(l_seq)
-                .expect("in-flight load set entry is in the ROB");
-            let l = &self.rob[j];
+        // store). The in-flight load set replaces the old scan over the
+        // ROB positions after the store — same µops, same (age) order.
+        self.sched.for_each_load_younger(slot, |l_slot| {
+            let l = &self.rob[l_slot];
             let Some(m) = &l.mem else { return true };
             let Some(l_addr) = m.addr else { return true };
             // u128 as in `execute_load`: no overflow near u64::MAX.
@@ -1910,13 +1949,13 @@ impl<'a> Core<'a> {
             }
             false
         });
-        let u = &mut self.rob[i];
+        let u = &mut self.rob[slot];
         u.status = UopStatus::Executing(cycle + 1);
         u.issue_cycle = cycle;
         let m = u.mem.as_mut().expect("store has mem state");
         m.addr = Some(addr);
-        self.sched.schedule_completion(cycle + 1, seq, i);
-        self.sched.insert(SetId::StoreWaiters, seq, i);
+        self.sched.schedule_completion(cycle + 1, slot);
+        self.sched.insert(SetId::StoreWaiters, slot);
         true
     }
 
@@ -1940,7 +1979,7 @@ impl<'a> Core<'a> {
             let pred_next = front.pred_next;
             let pred_taken = front.pred_taken;
             let hist_snapshot = front.hist_snapshot;
-            if self.rob.len() >= self.cfg.rob_size {
+            if self.sched.window_len() >= self.cfg.rob_size {
                 return;
             }
             let d = *self.decoded.get(idx);
@@ -1963,11 +2002,9 @@ impl<'a> Core<'a> {
             self.fetch_queue.advance_head();
             let seq = self.next_seq;
             self.next_seq += 1;
-            // Register the µop's ROB position with the scheduler before
-            // any set insert refers to it (it will be pushed at index
-            // `rob_i` below).
-            let rob_i = self.rob.len();
-            self.sched.on_dispatch(seq);
+            // Claim the tail slot before any set insert refers to it; the
+            // µop is written there in place below.
+            let slot = self.sched.on_dispatch();
 
             // Sources first (they read the pre-update rename map).
             let srcs: InlineVec<(Reg, usize), 3> = d
@@ -2016,11 +2053,11 @@ impl<'a> Core<'a> {
 
             if d.is_load {
                 self.lq_used += 1;
-                self.sched.insert(SetId::InflightLoads, seq, rob_i);
+                self.sched.insert(SetId::InflightLoads, slot);
             }
             if d.is_store {
                 self.sq_used += 1;
-                self.sched.insert(SetId::InflightStores, seq, rob_i);
+                self.sched.insert(SetId::InflightStores, slot);
             }
 
             let mem = if d.is_mem {
@@ -2041,7 +2078,7 @@ impl<'a> Core<'a> {
                 None
             };
 
-            let mut u = DynInst {
+            self.rob[slot] = DynInst {
                 seq,
                 idx,
                 pc: d.pc,
@@ -2062,6 +2099,8 @@ impl<'a> Core<'a> {
                 prot_out: d.inst.prot,
                 src_prot,
                 sens_prot,
+                is_transmitter: self.xmit_table[idx as usize],
+                sens_regs: sens_arch,
                 mem_prot: None,
                 in_taint: false,
                 in_yrot: NO_ROOT,
@@ -2076,29 +2115,30 @@ impl<'a> Core<'a> {
                 issue_cycle: 0,
                 complete_cycle: 0,
             };
-            self.policy.on_rename(&mut u, &mut self.tags);
+            let u = &mut self.rob[slot];
+            self.policy.on_rename(u, &mut self.tags);
             if let Some(t) = self.tracer.as_mut() {
-                t.on_rename(&u, self.cycle);
+                t.on_rename(u, self.cycle);
             }
             // Dispatch into the scheduler: every µop enters the waiting
             // set; ready ones go straight to the issue-ready set, the
             // rest park on one unready source register each.
-            self.sched.insert(SetId::Waiting, seq, rob_i);
-            if self.operands_ready(&u) {
-                self.sched.insert(SetId::IssueReady, seq, rob_i);
+            self.sched.insert(SetId::Waiting, slot);
+            let u = &self.rob[slot];
+            if self.operands_ready(u) {
+                self.sched.insert(SetId::IssueReady, slot);
             } else {
                 let p = self
-                    .first_unready_src(&u)
+                    .first_unready_src(u)
                     .expect("not-ready µop has an unready source");
-                self.sched.register_dep(p, seq, rob_i);
+                self.sched.register_dep(p, slot);
             }
             if d.is_branch {
-                self.sched.insert(SetId::UnresolvedBranches, seq, rob_i);
+                self.sched.insert(SetId::UnresolvedBranches, slot);
             }
             self.invalidate_frontier();
             self.sched.mark_progress();
             // Nop/Halt and direct jumps execute trivially.
-            self.rob.push_back(u);
             self.stats.fetched += 1;
         }
     }

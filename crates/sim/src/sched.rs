@@ -3,9 +3,8 @@
 //! The original pipeline walked the entire ROB once per stage per cycle
 //! — completion, store-data capture, branch resolution, and issue were
 //! each O(ROB) even on cycles where nothing could possibly happen. The
-//! [`Scheduler`] replaces those scans with explicit event sets keyed by
-//! sequence number ([`Seq`]), all maintained incrementally by the
-//! pipeline:
+//! [`Scheduler`] replaces those scans with explicit event sets over the
+//! µops' ROB slots, all maintained incrementally by the pipeline:
 //!
 //! * a **completion event wheel**: a µop entering execution schedules
 //!   exactly one completion event, so the completion stage touches only
@@ -20,7 +19,7 @@
 //!   predicate holds — the only µops the issue stage examines;
 //! * a **waiting set** (all Waiting µops in age order) — needed because
 //!   the issue window counts *every* waiting µop toward `iq_size`,
-//!   ready or not, so the cutoff sequence must be derivable exactly;
+//!   ready or not, so the cutoff entry must be derivable exactly;
 //! * a **store-data waiter set**: stores (and calls) that have computed
 //!   their address but not yet captured their data operand;
 //! * a **wakeup-pending set**: completed µops whose result broadcast the
@@ -34,25 +33,29 @@
 //!
 //! # Flat, ROB-slot-indexed representation
 //!
-//! Every one of those sets holds µops that live in a ROB bounded at
-//! `rob_size` entries, so the [`Scheduler`] backs them with
-//! fixed-capacity **bitsets over ROB ring slots** instead of ordered
-//! trees. The scheduler mirrors the ROB ring with two monotonic
-//! counters: `head_pos` (incremented when the head commits) and
-//! `tail_pos` (incremented at dispatch, decremented per squashed µop),
-//! with `tail_pos - head_pos == rob.len()` at every pipeline step. The
-//! µop at ROB index `i` occupies slot `(head_pos + i) & (cap - 1)` where
-//! `cap = rob_size.next_power_of_two()`; the window never exceeds `cap`
-//! entries, so the mapping is collision-free *even across squashes*
-//! (naive `seq % rob_size` indexing is not: squashes leave gaps in the
-//! live sequence numbers, so the in-ROB seq spread is unbounded).
+//! The ROB itself is a ring of `cap = rob_size.next_power_of_two()`
+//! `DynInst` slots owned by the core, and the [`Scheduler`] owns the
+//! ring's positions: two monotonic counters, `head_pos` (incremented
+//! when the head commits) and `tail_pos` (incremented at dispatch,
+//! decremented per squashed µop). The live window `[head_pos,
+//! tail_pos)` maps to slots via `pos & (cap - 1)`; the window never
+//! exceeds `rob_size <= cap` entries, so the mapping is collision-free
+//! *even across squashes* (naive `seq % rob_size` indexing is not:
+//! squashes leave gaps in the live sequence numbers, so the in-ROB seq
+//! spread is unbounded). A slot is the one handle the pipeline uses for
+//! an in-flight µop: [`Scheduler::on_dispatch`] hands out the tail slot
+//! that rename writes in place, every set, walk, dependent list and
+//! completion event yields slots, and the core reads `rob[slot]`
+//! directly — there is no sequence-number lookup anywhere.
 //!
-//! Age order ≡ seq order ≡ ROB position order (sequence numbers are
-//! assigned at dispatch and never reused), so age-ordered iteration of a
-//! bitset is a trailing-zeros walk **anchored at the ROB head slot**:
-//! the cyclic window `[head_slot, head_slot + len)` splits into at most
-//! two linear word ranges, walked in order — exactly the iteration
-//! order of an ordered set keyed by sequence number.
+//! Every status set holds µops of that window, so each is a
+//! fixed-capacity **bitset over ring slots** instead of an ordered
+//! tree. Age order ≡ seq order ≡ position order (sequence numbers are
+//! assigned at dispatch and never reused), so age-ordered iteration of
+//! a bitset is a trailing-zeros walk **anchored at the head slot**: the
+//! cyclic window `[head_slot, head_slot + len)` splits into at most two
+//! linear word ranges, walked in order — exactly the iteration order of
+//! an ordered set keyed by sequence number.
 //!
 //! The completion wheel becomes a **calendar queue**: a power-of-two
 //! ring of per-cycle buckets sized past the maximum in-tree completion
@@ -62,7 +65,7 @@
 //! dropped), so the steady state allocates nothing. Each event carries
 //! its slot and a **per-slot generation stamp** (bumped at dispatch), so
 //! a stale event from a squashed µop is recognised in O(1) — generation
-//! mismatch, or slot outside the live window — without a ROB lookup.
+//! mismatch, or slot outside the live window — without touching the ROB.
 //! Stale events are deliberately *left in the wheel* on squash: the
 //! cached minimum deadline ([`Scheduler::next_completion_cycle`], an
 //! O(1) field maintained on push and recomputed on drain) feeds
@@ -87,9 +90,8 @@
 //! reconciliation stay byte-exact. See `DESIGN.md` for the invariant
 //! argument.
 
-use crate::defense::Seq;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Identifies one of the eight status sets (see module docs). The
 /// numeric value indexes the scheduler's set array.
@@ -245,30 +247,27 @@ impl FlatSet {
     }
 }
 
-/// One completion event: the slot and dispatch generation it was
-/// scheduled for (the O(1) staleness check) plus the sequence number
-/// it yields when live.
+/// One completion event: the slot and the dispatch generation it was
+/// scheduled for (the O(1) staleness check).
 #[derive(Clone, Copy, Debug)]
 struct WheelEvent {
     slot: u32,
     gen: u32,
-    seq: Seq,
 }
 
 /// Event-driven scheduling state owned by the core (see module docs):
-/// the eight status sets as ROB-slot bitsets, the calendar-queue
-/// completion wheel and the dependent-list arena, plus the progress flag,
-/// the scratch buffer and the occupancy high-water marks.
+/// the ROB ring's positions, the eight status sets as slot bitsets, the
+/// calendar-queue completion wheel and the dependent-list arena, plus
+/// the progress flag, the scratch buffer and the occupancy high-water
+/// marks.
 #[derive(Debug)]
 pub(crate) struct Scheduler {
     /// Ring capacity: `rob_size.next_power_of_two()`.
     cap: usize,
-    /// Monotonic position counters mirroring the ROB ring; the window
-    /// `[head_pos, tail_pos)` maps to slots via `pos & (cap - 1)`.
+    /// Monotonic ROB positions; the window `[head_pos, tail_pos)` maps
+    /// to slots via `pos & (cap - 1)`.
     head_pos: u64,
     tail_pos: u64,
-    /// Sequence number occupying each slot (valid within the window).
-    slot_seq: Vec<Seq>,
     /// Per-slot dispatch generation, bumped when a slot is (re)claimed:
     /// distinguishes a squashed µop's leftovers from the slot's current
     /// occupant.
@@ -321,9 +320,9 @@ pub(crate) struct Scheduler {
     /// at tick end certifies the cycle is repeatable and fast-forward is
     /// sound.
     progress: bool,
-    /// Scratch buffer recycled by the pipeline's per-stage iteration
-    /// (sets cannot be mutated while iterated).
-    pub scratch: Vec<Seq>,
+    /// Slot buffer recycled by the pipeline's per-stage iteration (sets
+    /// cannot be mutated while iterated).
+    pub scratch: Vec<usize>,
 }
 
 impl Scheduler {
@@ -340,7 +339,6 @@ impl Scheduler {
             cap,
             head_pos: 0,
             tail_pos: 0,
-            slot_seq: vec![0; cap],
             slot_gen: vec![0; cap],
             sets: std::array::from_fn(|_| FlatSet::with_capacity(cap)),
             dep_next: vec![NO_NODE; cap],
@@ -390,25 +388,49 @@ impl Scheduler {
 
     // ---- ring geometry ----------------------------------------------
 
-    #[inline]
-    fn mask(&self) -> u64 {
-        self.cap as u64 - 1
+    /// Slots in the ROB ring (`rob_size.next_power_of_two()`); the core
+    /// sizes its `DynInst` array to match.
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 
     #[inline]
-    fn window_len(&self) -> usize {
+    fn mask(&self) -> usize {
+        self.cap - 1
+    }
+
+    /// Number of µops in the ROB.
+    #[inline]
+    pub fn window_len(&self) -> usize {
         (self.tail_pos - self.head_pos) as usize
     }
 
+    /// Slot of the ROB head (meaningful only while the window is
+    /// non-empty).
     #[inline]
-    fn head_slot(&self) -> usize {
-        (self.head_pos & self.mask()) as usize
+    pub fn head_slot(&self) -> usize {
+        self.head_pos as usize & self.mask()
     }
 
+    /// Slot of the youngest µop, if any.
     #[inline]
-    fn slot_of(&self, rob_i: usize) -> usize {
-        debug_assert!(rob_i < self.window_len(), "ROB index outside the window");
-        ((self.head_pos + rob_i as u64) & self.mask()) as usize
+    pub fn tail_slot(&self) -> Option<usize> {
+        (self.tail_pos > self.head_pos).then(|| (self.tail_pos - 1) as usize & self.mask())
+    }
+
+    /// Slot of the µop `off` positions behind the head.
+    #[inline]
+    pub fn slot_at(&self, off: usize) -> usize {
+        debug_assert!(off < self.window_len(), "offset outside the window");
+        (self.head_slot() + off) & self.mask()
+    }
+
+    /// Age offset of a live slot from the head (0 = the head).
+    #[inline]
+    fn offset_of(&self, slot: usize) -> usize {
+        let off = slot.wrapping_sub(self.head_slot()) & self.mask();
+        debug_assert!(off < self.window_len(), "slot outside the window");
+        off
     }
 
     /// The cyclic offset range `[start_off, end_off)` from the head as
@@ -417,7 +439,7 @@ impl Scheduler {
     fn pieces(&self, start_off: usize, end_off: usize) -> ((usize, usize), (usize, usize)) {
         debug_assert!(start_off <= end_off && end_off <= self.window_len());
         let n = end_off - start_off;
-        let s = (self.head_slot() + start_off) & (self.cap - 1);
+        let s = (self.head_slot() + start_off) & self.mask();
         if s + n <= self.cap {
             ((s, s + n), (0, 0))
         } else {
@@ -427,28 +449,29 @@ impl Scheduler {
 
     // ---- ROB lifecycle ----------------------------------------------
 
-    /// Registers a freshly renamed µop (about to be pushed at the ROB
-    /// tail) with the scheduler. Must be called before any set insert
-    /// for that µop.
+    /// Claims the tail slot for a freshly renamed µop and returns it;
+    /// the caller writes the µop there. Must be called before any set
+    /// insert for that µop.
     #[inline]
-    pub fn on_dispatch(&mut self, seq: Seq) {
+    pub fn on_dispatch(&mut self) -> usize {
         debug_assert!(
             self.window_len() < self.cap,
             "ROB window exceeds scheduler ring capacity"
         );
-        let slot = (self.tail_pos & self.mask()) as usize;
+        let slot = self.tail_pos as usize & self.mask();
         self.tail_pos += 1;
-        self.slot_seq[slot] = seq;
         self.slot_gen[slot] = self.slot_gen[slot].wrapping_add(1);
         self.dep_phys[slot] = NO_NODE;
         #[cfg(debug_assertions)]
         for set in &self.sets {
             debug_assert!(!set.contains(slot), "fresh slot still in a status set");
         }
+        slot
     }
 
-    /// The ROB head was just committed (popped). All set entries for the
-    /// head must have been removed beforehand.
+    /// Retires the head slot. All set entries for the head must have
+    /// been removed beforehand; its `DynInst` stays readable until a
+    /// later dispatch reclaims the slot.
     #[inline]
     pub fn on_commit_head(&mut self) {
         debug_assert!(self.window_len() > 0, "commit from an empty window");
@@ -463,17 +486,15 @@ impl Scheduler {
         self.head_pos += 1;
     }
 
-    /// One µop (`seq`, the current ROB tail) was just squashed (popped
-    /// from the back). Clears its membership in every status set and
-    /// unlinks it from any dependent list; its completion events (if
-    /// any) stay in the wheel as stale entries (see module docs).
+    /// Releases the tail slot (one squashed µop, youngest first). Clears
+    /// its membership in every status set and unlinks it from any
+    /// dependent list; its completion events (if any) stay in the wheel
+    /// as stale entries (see module docs).
     #[inline]
-    pub fn on_squash_pop(&mut self, seq: Seq) {
+    pub fn on_squash_pop(&mut self) {
         debug_assert!(self.window_len() > 0, "squash from an empty window");
         self.tail_pos -= 1;
-        let slot = (self.tail_pos & self.mask()) as usize;
-        debug_assert_eq!(self.slot_seq[slot], seq, "squash pops the ROB tail");
-        let _ = seq;
+        let slot = self.tail_pos as usize & self.mask();
         for set in &mut self.sets {
             set.remove(slot);
         }
@@ -485,12 +506,10 @@ impl Scheduler {
 
     // ---- status sets ------------------------------------------------
 
-    /// Inserts `seq` (at ROB index `rob_i`) into `set`. Idempotent.
+    /// Inserts the µop at `slot` into `set`. Idempotent.
     #[inline]
-    pub fn insert(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        let _ = seq;
+    pub fn insert(&mut self, set: SetId, slot: usize) {
+        debug_assert!(self.offset_of(slot) < self.window_len());
         let s = &mut self.sets[set as usize];
         s.insert(slot);
         if set == SetId::Waiting && s.len as u64 > self.iq_hwm {
@@ -498,12 +517,10 @@ impl Scheduler {
         }
     }
 
-    /// Removes `seq` (at ROB index `rob_i`) from `set`. Idempotent.
+    /// Removes the µop at `slot` from `set`. Idempotent.
     #[inline]
-    pub fn remove(&mut self, set: SetId, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        let _ = seq;
+    pub fn remove(&mut self, set: SetId, slot: usize) {
+        debug_assert!(self.offset_of(slot) < self.window_len());
         self.sets[set as usize].remove(slot);
     }
 
@@ -519,14 +536,14 @@ impl Scheduler {
         self.len(set) == 0
     }
 
-    /// The oldest entry of `set`, if any.
+    /// The slot of the oldest entry of `set`, if any.
     #[inline]
-    pub fn first(&self, set: SetId) -> Option<Seq> {
+    pub fn first(&self, set: SetId) -> Option<usize> {
         let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
         let s = &self.sets[set as usize];
         let mut found = None;
         let mut f = |slot: usize| {
-            found = Some(self.slot_seq[slot]);
+            found = Some(slot);
             false
         };
         if s.walk_asc(a0, a1, &mut f) {
@@ -535,98 +552,80 @@ impl Scheduler {
         found
     }
 
-    /// The `n`-th oldest entry of `set` (0-based), if any.
-    pub fn nth(&self, set: SetId, n: usize) -> Option<Seq> {
+    /// The slot of the `n`-th oldest entry of `set` (0-based), if any.
+    pub fn nth(&self, set: SetId, n: usize) -> Option<usize> {
         let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
         let s = &self.sets[set as usize];
         match s.select(a0, a1, n) {
-            Ok(slot) => Some(self.slot_seq[slot]),
-            Err(rest) => s.select(b0, b1, rest).ok().map(|slot| self.slot_seq[slot]),
+            Ok(slot) => Some(slot),
+            Err(rest) => s.select(b0, b1, rest).ok(),
         }
     }
 
-    /// Appends every entry of `set` to `out`, oldest first.
+    /// Appends the slot of every entry of `set` to `out`, oldest first.
     #[inline]
-    pub fn collect(&self, set: SetId, out: &mut Vec<Seq>) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
+    pub fn collect(&self, set: SetId, out: &mut Vec<usize>) {
+        self.collect_first(set, self.window_len(), out);
+    }
+
+    /// Appends the slot of every entry of `set` older than the live slot
+    /// `bound` (exclusive) to `out`, oldest first.
+    #[inline]
+    pub fn collect_below(&self, set: SetId, bound: usize, out: &mut Vec<usize>) {
+        self.collect_first(set, self.offset_of(bound), out);
+    }
+
+    /// [`Scheduler::collect`] restricted to the `end_off` oldest ROB
+    /// positions.
+    #[inline]
+    fn collect_first(&self, set: SetId, end_off: usize, out: &mut Vec<usize>) {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, end_off);
         let s = &self.sets[set as usize];
         let mut f = |slot: usize| {
-            out.push(self.slot_seq[slot]);
+            out.push(slot);
             true
         };
         s.walk_asc(a0, a1, &mut f);
         s.walk_asc(b0, b1, &mut f);
     }
 
-    /// Appends every entry of `set` older than `bound` (exclusive) to
-    /// `out`, oldest first.
+    /// Visits the slot of every in-flight store older than the load at
+    /// `slot`, **youngest first** (the store-queue search order of
+    /// `execute_load`). `f` returns `false` to stop the walk.
     #[inline]
-    pub fn collect_below(&self, set: SetId, bound: Seq, out: &mut Vec<Seq>) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, self.window_len());
-        let s = &self.sets[set as usize];
-        // Age order ≡ seq order: stop at the first entry ≥ bound.
-        let mut f = |slot: usize| {
-            let seq = self.slot_seq[slot];
-            if seq >= bound {
-                return false;
-            }
-            out.push(seq);
-            true
-        };
+    pub fn for_each_store_older(&self, slot: usize, mut f: impl FnMut(usize) -> bool) {
+        let ((a0, a1), (b0, b1)) = self.pieces(0, self.offset_of(slot));
+        let s = &self.sets[SetId::InflightStores as usize];
+        if s.walk_desc(b0, b1, &mut f) {
+            s.walk_desc(a0, a1, &mut f);
+        }
+    }
+
+    /// Visits the slot of every in-flight load younger than the store at
+    /// `slot`, **oldest first** (the violation-scan order of
+    /// `execute_store`). `f` returns `false` to stop the walk.
+    #[inline]
+    pub fn for_each_load_younger(&self, slot: usize, mut f: impl FnMut(usize) -> bool) {
+        let ((a0, a1), (b0, b1)) = self.pieces(self.offset_of(slot) + 1, self.window_len());
+        let s = &self.sets[SetId::InflightLoads as usize];
         if s.walk_asc(a0, a1, &mut f) {
             s.walk_asc(b0, b1, &mut f);
         }
     }
 
-    /// Visits every in-flight store older than the load `(seq, rob_i)`,
-    /// **youngest first** (the store-queue search order of
-    /// `execute_load`). `f` returns `false` to stop the walk.
-    #[inline]
-    pub fn for_each_store_older(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
-        let ((a0, a1), (b0, b1)) = self.pieces(0, rob_i);
-        let s = &self.sets[SetId::InflightStores as usize];
-        let mut g = |slot: usize| {
-            debug_assert!(self.slot_seq[slot] < seq, "older walk crossed the bound");
-            f(self.slot_seq[slot])
-        };
-        let _ = seq;
-        if s.walk_desc(b0, b1, &mut g) {
-            s.walk_desc(a0, a1, &mut g);
-        }
-    }
-
-    /// Visits every in-flight load younger than the store `(seq, rob_i)`,
-    /// **oldest first** (the violation-scan order of `execute_store`).
-    /// `f` returns `false` to stop the walk.
-    #[inline]
-    pub fn for_each_load_younger(&self, seq: Seq, rob_i: usize, mut f: impl FnMut(Seq) -> bool) {
-        let ((a0, a1), (b0, b1)) = self.pieces(rob_i + 1, self.window_len());
-        let s = &self.sets[SetId::InflightLoads as usize];
-        let mut g = |slot: usize| {
-            debug_assert!(self.slot_seq[slot] > seq, "younger walk crossed the bound");
-            f(self.slot_seq[slot])
-        };
-        let _ = seq;
-        if s.walk_asc(a0, a1, &mut g) {
-            s.walk_asc(b0, b1, &mut g);
-        }
-    }
-
     // ---- calendar queue ---------------------------------------------
 
-    /// Schedules `seq` (at ROB index `rob_i`) to complete at `done`.
+    /// Schedules the µop at `slot` to complete at `done`.
     #[inline]
-    pub fn schedule_completion(&mut self, done: u64, seq: Seq, rob_i: usize) {
+    pub fn schedule_completion(&mut self, done: u64, slot: usize) {
+        debug_assert!(self.offset_of(slot) < self.window_len());
         self.wheel_live += 1;
         if self.wheel_live > self.wheel_hwm {
             self.wheel_hwm = self.wheel_live;
         }
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
         let ev = WheelEvent {
             slot: slot as u32,
             gen: self.slot_gen[slot],
-            seq,
         };
         let b = (done & self.wmask) as usize;
         if self.buckets[b].is_empty() {
@@ -654,20 +653,15 @@ impl Scheduler {
     #[inline]
     fn event_live(&self, ev: WheelEvent) -> bool {
         let slot = ev.slot as usize;
-        if self.slot_gen[slot] != ev.gen {
-            return false;
-        }
-        let off = (slot + self.cap - self.head_slot()) & (self.cap - 1);
-        let live = off < self.window_len();
-        debug_assert!(!live || self.slot_seq[slot] == ev.seq);
-        live
+        self.slot_gen[slot] == ev.gen
+            && (slot.wrapping_sub(self.head_slot()) & self.mask()) < self.window_len()
     }
 
     /// Removes every completion event due at or before `cycle` and fills
-    /// `out` with the due live µops in age order. Stale (squashed) events
-    /// are dropped here in O(1) via generation stamps.
+    /// `out` with the slots of the due live µops in age order. Stale
+    /// (squashed) events are dropped here in O(1) via generation stamps.
     #[inline]
-    pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<Seq>) {
+    pub fn pop_completions(&mut self, cycle: u64, out: &mut Vec<usize>) {
         out.clear();
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
         let mut drained = 0u64;
@@ -686,7 +680,7 @@ impl Scheduler {
                 self.bucket_events -= bucket.len() as u64;
                 for &ev in &bucket {
                     if self.event_live(ev) {
-                        out.push(ev.seq);
+                        out.push(ev.slot as usize);
                     }
                 }
                 bucket.clear();
@@ -720,14 +714,15 @@ impl Scheduler {
             self.overflow.pop();
             drained += 1;
             if self.event_live(ev) {
-                out.push(ev.seq);
+                out.push(ev.slot as usize);
             }
         }
         // Multiple deadlines can drain at once only after a squash or a
-        // fast-forward jump; keep age order so processing matches the
-        // ROB order.
+        // fast-forward jump; keep age order (offset from the head slot)
+        // so processing matches the ROB order.
         if out.len() > 1 {
-            out.sort_unstable();
+            let (head, mask) = (self.head_slot(), self.mask());
+            out.sort_unstable_by_key(|&slot| slot.wrapping_sub(head) & mask);
         }
         debug_assert!(drained <= self.wheel_live);
         self.wheel_live -= drained;
@@ -771,14 +766,11 @@ impl Scheduler {
         }
     }
 
-    /// Parks `seq` (at ROB index `rob_i`) until physical register `phys`
-    /// is written back. A µop is parked on at most one register at a
-    /// time.
+    /// Parks the µop at `slot` until physical register `phys` is written
+    /// back. A µop is parked on at most one register at a time.
     #[inline]
-    pub fn register_dep(&mut self, phys: usize, seq: Seq, rob_i: usize) {
-        let slot = self.slot_of(rob_i);
-        debug_assert_eq!(self.slot_seq[slot], seq, "seq/index mismatch");
-        let _ = seq;
+    pub fn register_dep(&mut self, phys: usize, slot: usize) {
+        debug_assert!(self.offset_of(slot) < self.window_len());
         debug_assert_eq!(self.dep_phys[slot], NO_NODE, "µop parked twice");
         self.dep_phys[slot] = phys as u32;
         self.dep_next[slot] = NO_NODE;
@@ -796,11 +788,12 @@ impl Scheduler {
         }
     }
 
-    /// Drains the dependent list of `phys` into `out` in registration
-    /// order (the caller re-registers entries that are still not ready).
-    /// Only live µops are ever yielded: squash unlinks eagerly.
+    /// Drains the dependent list of `phys` into `out` (slots, in
+    /// registration order; the caller re-registers entries that are
+    /// still not ready). Only live µops are ever yielded: squash unlinks
+    /// eagerly.
     #[inline]
-    pub fn drain_deps(&mut self, phys: usize, out: &mut Vec<Seq>) {
+    pub fn drain_deps(&mut self, phys: usize, out: &mut Vec<usize>) {
         let mut node = self.dep_head_of(phys);
         if node == NO_NODE {
             return;
@@ -808,7 +801,7 @@ impl Scheduler {
         while node != NO_NODE {
             let slot = node as usize;
             debug_assert_eq!(self.dep_phys[slot], phys as u32);
-            out.push(self.slot_seq[slot]);
+            out.push(slot);
             self.dep_phys[slot] = NO_NODE;
             node = self.dep_next[slot];
         }
@@ -892,7 +885,7 @@ pub(crate) struct FetchEntry {
     /// TAGE global-history snapshot from before this µop's fetch.
     pub hist_snapshot: u64,
     /// Interned RSB snapshot from before this µop's fetch.
-    pub rsb_snapshot: Arc<[u64]>,
+    pub rsb_snapshot: Rc<[u64]>,
 }
 
 /// A fetch group: the µops fetched in one cycle, handed to rename as a
@@ -1009,6 +1002,7 @@ impl FetchQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defense::Seq;
     use std::collections::BTreeSet;
 
     const ALL_SETS: [SetId; N_SETS] = [
@@ -1022,227 +1016,258 @@ mod tests {
         SetId::InflightStores,
     ];
 
-    /// A small scheduler (8-slot ring, 32-bucket wheel): wrap-around is
-    /// a handful of dispatches away.
-    fn sched() -> Scheduler {
-        Scheduler::new(8, 8, 30)
+    /// A small scheduler (8-slot ring, 32-bucket wheel) plus the
+    /// sequence number dispatched into each slot, standing in for the
+    /// core's `DynInst` ring: wrap-around is a handful of dispatches
+    /// away, and results read back as sequence numbers.
+    struct Ring {
+        s: Scheduler,
+        seq: [Seq; 8],
     }
 
-    fn contents(s: &Scheduler, set: SetId) -> Vec<Seq> {
-        let mut out = Vec::new();
-        s.collect(set, &mut out);
-        out
+    impl Ring {
+        fn new() -> Ring {
+            Ring {
+                s: Scheduler::new(8, 8, 30),
+                seq: [0; 8],
+            }
+        }
+
+        /// Dispatches `seq` at the tail; returns its slot.
+        fn dispatch(&mut self, seq: Seq) -> usize {
+            let slot = self.s.on_dispatch();
+            self.seq[slot] = seq;
+            slot
+        }
+
+        fn seqs(&self, slots: &[usize]) -> Vec<Seq> {
+            slots.iter().map(|&slot| self.seq[slot]).collect()
+        }
+
+        fn contents(&self, set: SetId) -> Vec<Seq> {
+            let mut out = Vec::new();
+            self.s.collect(set, &mut out);
+            self.seqs(&out)
+        }
+
+        fn pop_completions(&mut self, cycle: u64) -> Vec<Seq> {
+            let mut out = Vec::new();
+            self.s.pop_completions(cycle, &mut out);
+            self.seqs(&out)
+        }
     }
 
     #[test]
     fn wheel_pops_due_events_in_age_order() {
-        let mut s = sched();
-        for seq in [1u64, 2, 3, 7] {
-            s.on_dispatch(seq);
+        let mut r = Ring::new();
+        let slot: Vec<usize> = [1, 2, 3, 7].map(|seq| r.dispatch(seq)).into();
+        r.s.schedule_completion(10, slot[2]);
+        r.s.schedule_completion(5, slot[3]);
+        r.s.schedule_completion(5, slot[1]);
+        r.s.schedule_completion(12, slot[0]);
+        assert!(r.pop_completions(4).is_empty());
+        assert_eq!(r.s.next_completion_cycle(), Some(5));
+        assert_eq!(r.pop_completions(10), vec![2, 3, 7]);
+        assert_eq!(r.s.next_completion_cycle(), Some(12));
+        assert_eq!(r.pop_completions(100), vec![1]);
+        assert_eq!(r.s.next_completion_cycle(), None);
+        // Across the ring wrap, age order is the offset from the head
+        // slot, not the slot number.
+        for _ in 0..4 {
+            r.s.on_commit_head();
         }
-        s.schedule_completion(10, 3, 2);
-        s.schedule_completion(5, 7, 3);
-        s.schedule_completion(5, 2, 1);
-        s.schedule_completion(12, 1, 0);
-        let mut out = Vec::new();
-        s.pop_completions(4, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(s.next_completion_cycle(), Some(5));
-        s.pop_completions(10, &mut out);
-        assert_eq!(out, vec![2, 3, 7]);
-        assert_eq!(s.next_completion_cycle(), Some(12));
-        s.pop_completions(100, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(s.next_completion_cycle(), None);
+        let slot: Vec<usize> = [20, 21, 22, 23, 24, 25].map(|seq| r.dispatch(seq)).into();
+        assert_eq!(slot, vec![4, 5, 6, 7, 0, 1]);
+        for &s in slot.iter().rev() {
+            r.s.schedule_completion(200, s);
+        }
+        assert_eq!(r.pop_completions(200), vec![20, 21, 22, 23, 24, 25]);
     }
 
     #[test]
     fn squash_discards_only_younger_entries() {
-        let mut s = sched();
-        for (i, seq) in [1u64, 5, 9].into_iter().enumerate() {
-            s.on_dispatch(seq);
+        let mut r = Ring::new();
+        for seq in [1u64, 5, 9] {
+            let slot = r.dispatch(seq);
             for set in ALL_SETS {
-                s.insert(set, seq, i);
+                r.s.insert(set, slot);
             }
         }
-        // The pipeline squash pops younger µops, tail first.
-        s.on_squash_pop(9);
+        // The pipeline squash releases younger µops, tail first.
+        assert_eq!(r.s.tail_slot().map(|slot| r.seq[slot]), Some(9));
+        r.s.on_squash_pop();
         for set in ALL_SETS {
-            assert_eq!(contents(&s, set), vec![1, 5]);
+            assert_eq!(r.contents(set), vec![1, 5]);
         }
+        assert_eq!(r.s.tail_slot().map(|slot| r.seq[slot]), Some(5));
     }
 
     #[test]
     fn squash_and_age_order_across_ring_wraparound() {
-        let mut s = sched();
+        let mut r = Ring::new();
         // Fill most of the 8-slot ring...
-        for (i, seq) in (10..16).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, i);
+        for seq in 10..16 {
+            let slot = r.dispatch(seq);
+            r.s.insert(SetId::Waiting, slot);
         }
         // ...commit 5 heads so later dispatches wrap slots 0..=2.
-        for seq in 10..15 {
-            s.remove(SetId::Waiting, seq, 0);
-            s.on_commit_head();
+        for _ in 10..15 {
+            r.s.remove(SetId::Waiting, r.s.head_slot());
+            r.s.on_commit_head();
         }
-        for (i, seq) in (20..26).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, 1 + i);
-            s.insert(SetId::InflightLoads, seq, 1 + i);
+        let mut slot_of = std::collections::HashMap::new();
+        for seq in 20..26 {
+            let slot = r.dispatch(seq);
+            slot_of.insert(seq, slot);
+            r.s.insert(SetId::Waiting, slot);
+            r.s.insert(SetId::InflightLoads, slot);
         }
-        // Age order across the wrap: head is µop 15 at ROB index 0.
-        assert_eq!(
-            contents(&s, SetId::Waiting),
-            vec![15, 20, 21, 22, 23, 24, 25]
-        );
-        assert_eq!(s.nth(SetId::Waiting, 3), Some(22));
+        // Age order across the wrap: the head is µop 15.
+        assert_eq!(r.seq[r.s.head_slot()], 15);
+        assert_eq!(r.s.slot_at(2), slot_of[&21]);
+        assert_eq!(r.contents(SetId::Waiting), vec![15, 20, 21, 22, 23, 24, 25]);
+        assert_eq!(r.s.nth(SetId::Waiting, 3).map(|slot| r.seq[slot]), Some(22));
+        assert_eq!(r.s.first(SetId::InflightLoads), Some(slot_of[&20]));
         let mut below = Vec::new();
-        s.collect_below(SetId::Waiting, 23, &mut below);
-        assert_eq!(below, vec![15, 20, 21, 22]);
+        r.s.collect_below(SetId::Waiting, slot_of[&23], &mut below);
+        assert_eq!(r.seqs(&below), vec![15, 20, 21, 22]);
         // Squash the youngest three (all on wrapped slots).
-        for seq in [25, 24, 23] {
-            s.on_squash_pop(seq);
+        for _ in 0..3 {
+            r.s.on_squash_pop();
         }
-        assert_eq!(contents(&s, SetId::Waiting), vec![15, 20, 21, 22]);
-        assert_eq!(contents(&s, SetId::InflightLoads), vec![20, 21, 22]);
+        assert_eq!(r.contents(SetId::Waiting), vec![15, 20, 21, 22]);
+        assert_eq!(r.contents(SetId::InflightLoads), vec![20, 21, 22]);
         // Refill the squashed slots: no leakage from the dead µops.
-        for (i, seq) in (30..33).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, 4 + i);
+        for seq in 30..33 {
+            let slot = r.dispatch(seq);
+            r.s.insert(SetId::Waiting, slot);
         }
-        assert_eq!(
-            contents(&s, SetId::Waiting),
-            vec![15, 20, 21, 22, 30, 31, 32]
-        );
+        assert_eq!(r.contents(SetId::Waiting), vec![15, 20, 21, 22, 30, 31, 32]);
+        assert_eq!(r.s.window_len(), 7);
     }
 
     #[test]
     fn generation_stamps_skip_stale_wheel_events() {
-        let mut s = sched();
-        s.on_dispatch(1);
-        s.on_dispatch(2);
-        s.schedule_completion(50, 2, 1);
-        s.on_squash_pop(2);
+        let mut r = Ring::new();
+        r.dispatch(1);
+        let s2 = r.dispatch(2);
+        r.s.schedule_completion(50, s2);
+        r.s.on_squash_pop();
         // The stale event stays in the wheel and keeps feeding the
         // cached minimum (fast-forward jump targets count it)...
-        assert_eq!(s.next_completion_cycle(), Some(50));
+        assert_eq!(r.s.next_completion_cycle(), Some(50));
         // ...and the reused slot's new occupant shares its bucket.
-        s.on_dispatch(3);
-        s.schedule_completion(50, 3, 1);
-        let mut out = Vec::new();
-        s.pop_completions(50, &mut out);
+        let s3 = r.dispatch(3);
+        assert_eq!(s3, s2, "the squashed slot is reclaimed");
+        r.s.schedule_completion(50, s3);
         assert_eq!(
-            out,
+            r.pop_completions(50),
             vec![3],
             "stale event for squashed seq 2 must be skipped"
         );
-        assert_eq!(s.next_completion_cycle(), None);
+        assert_eq!(r.s.next_completion_cycle(), None);
         // Stale event whose slot was *not* reused: window check.
-        s.on_dispatch(4);
-        s.schedule_completion(60, 4, 2);
-        s.on_squash_pop(4);
-        out.clear();
-        s.pop_completions(60, &mut out);
-        assert!(out.is_empty());
+        let s4 = r.dispatch(4);
+        r.s.schedule_completion(60, s4);
+        r.s.on_squash_pop();
+        assert!(r.pop_completions(60).is_empty());
     }
 
     #[test]
     fn wheel_overflow_beyond_horizon() {
         // max_latency 30 → 32-bucket ring: deadlines 32 cycles apart
         // collide and the younger goes to the sorted overflow list.
-        let mut s = sched();
-        s.on_dispatch(1);
-        s.on_dispatch(2);
-        s.schedule_completion(5, 1, 0);
-        s.schedule_completion(5 + 32, 2, 1);
-        assert_eq!(s.next_completion_cycle(), Some(5));
-        let mut out = Vec::new();
-        s.pop_completions(5, &mut out);
-        assert_eq!(out, vec![1]);
-        assert_eq!(s.next_completion_cycle(), Some(37));
-        s.pop_completions(37, &mut out);
-        assert_eq!(out, vec![2]);
-        assert_eq!(s.next_completion_cycle(), None);
+        let mut r = Ring::new();
+        let s1 = r.dispatch(1);
+        let s2 = r.dispatch(2);
+        r.s.schedule_completion(5, s1);
+        r.s.schedule_completion(5 + 32, s2);
+        assert_eq!(r.s.next_completion_cycle(), Some(5));
+        assert_eq!(r.pop_completions(5), vec![1]);
+        assert_eq!(r.s.next_completion_cycle(), Some(37));
+        assert_eq!(r.pop_completions(37), vec![2]);
+        assert_eq!(r.s.next_completion_cycle(), None);
     }
 
     #[test]
     fn dep_lists_roundtrip_in_registration_order() {
-        let mut s = sched();
-        s.on_dispatch(4);
-        s.on_dispatch(8);
-        s.register_dep(1, 4, 0);
-        s.register_dep(1, 8, 1);
+        let mut r = Ring::new();
+        let s4 = r.dispatch(4);
+        let s8 = r.dispatch(8);
+        r.s.register_dep(1, s4);
+        r.s.register_dep(1, s8);
         let mut out = Vec::new();
-        s.drain_deps(1, &mut out);
-        assert_eq!(out, vec![4, 8]);
+        r.s.drain_deps(1, &mut out);
+        assert_eq!(r.seqs(&out), vec![4, 8]);
         out.clear();
-        s.drain_deps(1, &mut out);
-        s.drain_deps(0, &mut out);
+        r.s.drain_deps(1, &mut out);
+        r.s.drain_deps(0, &mut out);
         assert!(out.is_empty());
     }
 
     #[test]
     fn flat_dep_lists_unlink_on_squash_and_reset_by_epoch() {
-        let mut s = sched();
-        s.on_dispatch(1);
-        s.on_dispatch(2);
-        s.on_dispatch(3);
-        s.register_dep(5, 1, 0);
-        s.register_dep(5, 2, 1);
-        s.register_dep(5, 3, 2);
+        let mut r = Ring::new();
+        for seq in 1..=3 {
+            let slot = r.dispatch(seq);
+            r.s.register_dep(5, slot);
+        }
         // Squash the middle registrant's younger sibling and the middle
         // one itself: both unlink in O(1), the head survives.
-        s.on_squash_pop(3);
-        s.on_squash_pop(2);
+        r.s.on_squash_pop();
+        r.s.on_squash_pop();
         let mut out = Vec::new();
-        s.drain_deps(5, &mut out);
-        assert_eq!(out, vec![1]);
+        r.s.drain_deps(5, &mut out);
+        assert_eq!(r.seqs(&out), vec![1]);
         // Epoch reset: parked µops from before reset() read as empty.
-        s.on_dispatch(9);
-        s.register_dep(5, 9, 1);
-        s.reset();
+        let s9 = r.dispatch(9);
+        r.s.register_dep(5, s9);
+        r.s.reset();
         out.clear();
-        s.drain_deps(5, &mut out);
+        r.s.drain_deps(5, &mut out);
         assert!(out.is_empty());
+        assert_eq!(r.s.window_len(), 0);
         // The arena is fully usable after the O(1) reset.
-        s.on_dispatch(11);
-        s.register_dep(5, 11, 0);
+        let s11 = r.dispatch(11);
+        r.s.register_dep(5, s11);
         out.clear();
-        s.drain_deps(5, &mut out);
-        assert_eq!(out, vec![11]);
+        r.s.drain_deps(5, &mut out);
+        assert_eq!(r.seqs(&out), vec![11]);
     }
 
     #[test]
     fn disambiguation_walks_match_across_backends() {
         // The bitset walks against a plain ordered-set reference, on a
         // window that wraps the 8-slot ring.
-        let mut s = sched();
+        let mut r = Ring::new();
         for seq in 1..=4 {
-            s.on_dispatch(seq);
-            s.on_commit_head();
+            r.dispatch(seq);
+            r.s.on_commit_head();
         }
         let (mut loads, mut stores) = (BTreeSet::new(), BTreeSet::new());
-        for (i, seq) in (11..=17).enumerate() {
-            s.on_dispatch(seq);
+        let mut slots = Vec::new();
+        for seq in 11..=17 {
+            let slot = r.dispatch(seq);
+            slots.push((seq, slot));
             let (set, reference) = if seq % 2 == 1 {
                 (SetId::InflightStores, &mut stores)
             } else {
                 (SetId::InflightLoads, &mut loads)
             };
-            s.insert(set, seq, i);
+            r.s.insert(set, slot);
             reference.insert(seq);
         }
-        for (i, seq) in (11..=17).enumerate() {
+        for &(seq, slot) in &slots {
             let mut got = Vec::new();
-            s.for_each_store_older(seq, i, |q| {
-                got.push(q);
+            r.s.for_each_store_older(slot, |q| {
+                got.push(r.seq[q]);
                 true
             });
             let want: Vec<Seq> = stores.range(..seq).rev().copied().collect();
             assert_eq!(got, want, "stores older than {seq}, youngest first");
             let mut got = Vec::new();
-            s.for_each_load_younger(seq, i, |q| {
-                got.push(q);
+            r.s.for_each_load_younger(slot, |q| {
+                got.push(r.seq[q]);
                 true
             });
             let want: Vec<Seq> = loads.range(seq + 1..).copied().collect();
@@ -1250,36 +1275,35 @@ mod tests {
         }
         // An early stop ends the walk.
         let mut got = Vec::new();
-        s.for_each_load_younger(11, 0, |q| {
-            got.push(q);
-            q != 14
+        r.s.for_each_load_younger(slots[0].1, |q| {
+            got.push(r.seq[q]);
+            r.seq[q] != 14
         });
         assert_eq!(got, vec![12, 14]);
     }
 
     #[test]
     fn occupancy_high_water_marks() {
-        let mut s = sched();
-        for (i, seq) in (1..=3).enumerate() {
-            s.on_dispatch(seq);
-            s.insert(SetId::Waiting, seq, i);
+        let mut r = Ring::new();
+        let slot: Vec<usize> = [1, 2, 3].map(|seq| r.dispatch(seq)).into();
+        for &s in &slot {
+            r.s.insert(SetId::Waiting, s);
         }
-        s.remove(SetId::Waiting, 3, 2);
-        s.insert(SetId::Waiting, 3, 2);
-        assert_eq!(s.iq_hwm(), 3);
-        s.schedule_completion(4, 1, 0);
-        s.schedule_completion(4, 2, 1);
-        let mut out = Vec::new();
-        s.pop_completions(4, &mut out);
-        s.schedule_completion(9, 3, 2);
-        assert_eq!(s.wheel_hwm(), 2);
-        s.reset();
-        assert_eq!((s.iq_hwm(), s.wheel_hwm()), (0, 0));
+        r.s.remove(SetId::Waiting, slot[2]);
+        r.s.insert(SetId::Waiting, slot[2]);
+        assert_eq!(r.s.iq_hwm(), 3);
+        r.s.schedule_completion(4, slot[0]);
+        r.s.schedule_completion(4, slot[1]);
+        r.pop_completions(4);
+        r.s.schedule_completion(9, slot[2]);
+        assert_eq!(r.s.wheel_hwm(), 2);
+        r.s.reset();
+        assert_eq!((r.s.iq_hwm(), r.s.wheel_hwm()), (0, 0));
     }
 
     #[test]
     fn progress_flag_lifecycle() {
-        let mut s = sched();
+        let mut s = Scheduler::new(8, 8, 30);
         assert!(!s.progress());
         s.mark_progress();
         assert!(s.progress());
@@ -1293,7 +1317,7 @@ mod tests {
             pred_next: Some(idx + 1),
             pred_taken: false,
             hist_snapshot: 0,
-            rsb_snapshot: Arc::from(&[][..]),
+            rsb_snapshot: Rc::from(&[][..]),
         }
     }
 

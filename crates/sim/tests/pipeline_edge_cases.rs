@@ -203,3 +203,14 @@ fn core_presets_sanity() {
     assert_eq!(p.final_regs, e.final_regs);
     assert!(e.stats.cycles >= p.stats.cycles * 9 / 10);
 }
+
+/// A zero port count used to run to the watchdog and report `Deadlock`;
+/// `Core::new` now rejects it up front with the typed error's message.
+#[test]
+#[should_panic(expected = "invalid core configuration `tiny`: `alu_ports` must be positive")]
+fn core_rejects_invalid_config() {
+    let prog = assemble("mov r0, 1\nhalt\n").unwrap();
+    let mut cfg = CoreConfig::test_tiny();
+    cfg.alu_ports = 0;
+    Core::new(&prog, cfg, Box::new(UnsafePolicy), &ArchState::new());
+}
