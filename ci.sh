@@ -68,7 +68,7 @@ echo "== threaded oracle differential (release + debug)"
 cargo test -q --release --offline -p protean-bench --test threaded_oracle_equiv
 cargo test -q --offline -p protean-bench --test threaded_oracle_equiv
 
-echo "== component-model differentials: flat cache + TAGE folds (release + debug)"
+echo "== component-model differentials: flat cache + TAGE folds + layered COW memory (release + debug)"
 # The flat SoA/word-bitmap cache and the incrementally folded TAGE are
 # the only implementations on the simulation paths; the boxed-bool
 # cache and the reference history fold survive solely as test oracles,
@@ -79,6 +79,10 @@ cargo test -q --release --offline -p protean-sim --test cache_flat_equiv
 cargo test -q --offline -p protean-sim --test cache_flat_equiv
 cargo test -q --release --offline -p protean-sim --test tage_fold_equiv
 cargo test -q --offline -p protean-sim --test tage_fold_equiv
+# The two-layer copy-on-write memory (frozen shared base + private
+# pages) against an eagerly copied byte model, `share` included.
+cargo test -q --release --offline -p protean-arch --test cow_memory
+cargo test -q --offline -p protean-arch --test cow_memory
 
 echo "== traced campaign equivalence: golden campaign + trace renderings + traced reset (release + debug)"
 # The campaign engine triages and renders counterexamples from the

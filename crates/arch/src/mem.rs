@@ -1,16 +1,41 @@
-//! Sparse byte-addressable memory with copy-on-write pages.
+//! Sparse byte-addressable memory with two copy-on-write page layers.
 //!
-//! Pages are reference-counted (`Arc<[u8; 4096]>`), so cloning a
-//! [`Memory`] — which the fuzzer does once per (program, input) run —
-//! costs one refcount bump per page instead of a deep copy, and the
-//! clones diverge lazily: a write copies only the 4 KiB page it lands
-//! on (hand-rolled `Arc` make-mut, std only). The most recently
-//! written page is additionally kept *checked out* of the page table
-//! as a uniquely-owned handle, so streams of writes to one page (the
-//! common case for stack and secret-buffer initialisation) pay zero
-//! hash lookups and never touch the refcount.
+//! Pages are reference-counted (`Arc<[u8; 4096]>`) and live in one of
+//! two layers:
+//!
+//! * a **frozen base** (`Option<Arc<PageMap>>`), shared whole between
+//!   clones — cloning a [`Memory`] costs one refcount bump for the base
+//!   however many pages it holds. [`Memory::share`] builds it by folding
+//!   every private page in. The fuzzer's input template (the 1,024
+//!   cold-chain pages) is frozen this way once per process, so each of
+//!   the dozen clones a fuzz program makes of its input copies only the
+//!   handful of pages it wrote itself;
+//! * a **private map** of the pages written since the last `share()`.
+//!   Cloning it costs one refcount bump per private page, and clones
+//!   diverge lazily: a write copies only the 4 KiB page it lands on
+//!   (hand-rolled `Arc` make-mut, std only). The first write to a base
+//!   page copies it into the private map, which shadows the base from
+//!   then on.
+//!
+//! The most recently written page is additionally kept *checked out* of
+//! the private map as a uniquely-owned handle, so streams of writes to
+//! one page (the common case for stack and secret-buffer
+//! initialisation) pay zero hash lookups and never touch the refcount.
+//! Reads look in the open page, then the private map, then the base.
+//!
+//! Both maps are keyed by page number and hashed with [`PageHasher`], a
+//! one-multiply hash in place of SipHash: the keys are the simulated
+//! program's own page numbers, so the worst a colliding address pattern
+//! can do is slow that program's simulation — SipHash's flooding
+//! resistance buys nothing here. Nothing iterates the maps in an
+//! order-dependent way (SipHash's per-process `RandomState` already
+//! randomised that order), so no result depends on the hasher.
+//!
+//! There is deliberately no read-side cache: `Memory` stays
+//! `Send + Sync`, so reads are pure lookups.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 const PAGE_SHIFT: u64 = 12;
@@ -19,11 +44,46 @@ const PAGE_MASK: u64 = (PAGE_SIZE as u64) - 1;
 
 type Page = [u8; PAGE_SIZE];
 
+/// A page table: page number → shared page.
+type PageMap = HashMap<u64, Arc<Page>, BuildHasherDefault<PageHasher>>;
+
+/// Hashes a page number with one widening multiply, folding the high
+/// half of the product into the low half so every key bit reaches the
+/// bucket-index bits (pages a power-of-two stride apart still spread).
+#[derive(Default, Clone, Copy)]
+struct PageHasher(u64);
+
+impl PageHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+}
+
+impl Hasher for PageHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let full = u128::from(self.0 ^ n) * u128::from(Self::K);
+        self.0 = (full as u64) ^ ((full >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // The maps hash only `u64` keys; this keeps the trait complete.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A sparse, zero-initialized, byte-addressable 64-bit memory.
 ///
 /// Pages are allocated lazily; reads of unmapped memory return zero
 /// (matching the fuzzing harness's architectural-fault suppression — no
-/// access ever faults). Clones share pages copy-on-write.
+/// access ever faults). Clones share pages copy-on-write, and
+/// [`share`](Memory::share) freezes the current pages into a base layer
+/// that later clones share with a single refcount.
 ///
 /// # Examples
 ///
@@ -36,14 +96,20 @@ type Page = [u8; PAGE_SIZE];
 /// assert_eq!(mem.read(0x1004, 4), 0); // upper half
 /// assert_eq!(mem.read(0x9999, 8), 0); // unmapped reads as zero
 ///
-/// let fork = mem.clone(); // O(pages), not O(bytes)
+/// mem.share(); // freeze: clones now share every page through one Arc
+/// let fork = mem.clone();
 /// let mut mem2 = fork.clone();
 /// mem2.write(0x1000, 1, 0xff); // copies only the touched page
 /// assert_eq!(mem.read(0x1000, 8), 0xdead_beef);
+/// assert_eq!(mem2.read(0x1000, 8), 0xdead_beff);
 /// ```
 #[derive(Default)]
 pub struct Memory {
-    pages: HashMap<u64, Arc<Page>>,
+    /// The frozen layer: pages folded in by [`Memory::share`], never
+    /// written in place. Shadowed by `pages` and `open`.
+    base: Option<Arc<PageMap>>,
+    /// The private layer: pages written since the last `share()`.
+    pages: PageMap,
     /// The page currently checked out for writing, keyed by page
     /// number. Invariant: the key is absent from `pages` and the `Arc`
     /// is uniquely owned (strong count 1, no weak refs), so writes hit
@@ -65,11 +131,15 @@ impl Memory {
                 return Some(p);
             }
         }
-        self.pages.get(&key).map(|p| &**p)
+        if let Some(p) = self.pages.get(&key) {
+            return Some(p);
+        }
+        self.base.as_ref()?.get(&key).map(|p| &**p)
     }
 
     /// Checks the page holding `key` out into the `open` slot (copying
-    /// it first if clones still share it) and returns it mutably.
+    /// it first if clones or the base still share it) and returns it
+    /// mutably.
     fn open_page(&mut self, key: u64) -> &mut Page {
         let hit = matches!(&self.open, Some((k, _)) if *k == key);
         if !hit {
@@ -86,12 +156,32 @@ impl Memory {
                     }
                     arc
                 }
-                None => Arc::new([0; PAGE_SIZE]),
+                // Base pages are frozen: the first write copies one out.
+                None => match self.base.as_ref().and_then(|b| b.get(&key)) {
+                    Some(frozen) => Arc::new(**frozen),
+                    None => Arc::new([0; PAGE_SIZE]),
+                },
             };
             self.open = Some((key, arc));
         }
         let (_, arc) = self.open.as_mut().expect("open slot just filled");
         Arc::get_mut(arc).expect("open page is uniquely owned")
+    }
+
+    /// Freezes every page into the shared base layer: the private pages
+    /// (and the open page) are folded into a new base, so later clones
+    /// and `clone_from`s of this memory cost one refcount for all of
+    /// them. Contents are unchanged. Call it on a template that is
+    /// cloned many times and written little afterwards.
+    pub fn share(&mut self) {
+        if let Some((k, p)) = self.open.take() {
+            self.pages.insert(k, p);
+        }
+        if self.pages.is_empty() {
+            return;
+        }
+        let base = Arc::make_mut(self.base.get_or_insert_with(Default::default));
+        base.extend(self.pages.drain());
     }
 
     /// Reads one byte.
@@ -178,28 +268,39 @@ impl Memory {
             .collect()
     }
 
-    /// Number of mapped pages (for diagnostics).
+    /// Number of mapped pages (for diagnostics). A private page that
+    /// shadows a base page counts once.
     pub fn mapped_pages(&self) -> usize {
-        self.pages.len() + usize::from(self.open.is_some())
+        let Some(base) = &self.base else {
+            return self.pages.len() + usize::from(self.open.is_some());
+        };
+        let private = self.pages.keys().chain(self.open.as_ref().map(|(k, _)| k));
+        base.len() + private.filter(|k| !base.contains_key(k)).count()
     }
 }
 
 impl Clone for Memory {
-    /// O(pages) — shares every page with `self` copy-on-write. The
-    /// clone's copy of the open page is freshly owned so `self` keeps
-    /// its uniquely-owned write handle.
+    /// One refcount for the base plus one per private page — shares
+    /// every page with `self` copy-on-write. The clone's copy of the
+    /// open page is freshly owned so `self` keeps its uniquely-owned
+    /// write handle.
     fn clone(&self) -> Memory {
         let mut pages = self.pages.clone();
         if let Some((k, p)) = &self.open {
             pages.insert(*k, Arc::new(**p));
         }
-        Memory { pages, open: None }
+        Memory {
+            base: self.base.clone(),
+            pages,
+            open: None,
+        }
     }
 
     /// Reuses the destination's page-table allocation (the arena reset
     /// path: `core.mem.clone_from(&input.mem)` once per fuzz run).
     fn clone_from(&mut self, source: &Memory) {
         self.open = None;
+        self.base.clone_from(&source.base);
         self.pages.clone_from(&source.pages);
         if let Some((k, p)) = &source.open {
             self.pages.insert(*k, Arc::new(**p));
@@ -331,5 +432,60 @@ mod tests {
         assert_eq!(a.read(0x1008, 8), 6);
         assert_eq!(a.read(0x1000, 8), 5);
         assert_eq!(b.read(0x1000, 8), 5);
+    }
+
+    #[test]
+    fn write_to_clone_of_shared_memory_changes_no_sibling() {
+        let mut a = Memory::new();
+        a.write(0x1000, 8, 1);
+        a.write(0x7000, 8, 2);
+        a.share();
+        let mut b = a.clone();
+        let mut c = Memory::new();
+        c.clone_from(&a);
+        b.write(0x1000, 8, 10); // base page copied into b's private map
+        c.write(0x7004, 4, 20);
+        a.write(0x7000, 2, 30);
+        assert_eq!((a.read(0x1000, 8), a.read(0x7000, 8)), (1, 30));
+        assert_eq!((b.read(0x1000, 8), b.read(0x7000, 8)), (10, 2));
+        assert_eq!((c.read(0x1000, 8), c.read(0x7000, 8)), (1, 2 | 20 << 32));
+        // A clone of a clone still sees the base under its own writes.
+        let d = b.clone();
+        assert_eq!((d.read(0x1000, 8), d.read(0x7000, 8)), (10, 2));
+    }
+
+    #[test]
+    fn mapped_pages_counts_shadowed_page_once() {
+        let mut m = Memory::new();
+        m.write(0x1000, 8, 1);
+        m.write(0x2000, 8, 2);
+        m.share();
+        assert_eq!(m.mapped_pages(), 2);
+        m.write(0x1000, 8, 3); // open page shadows a base page
+        assert_eq!(m.mapped_pages(), 2);
+        m.write(0x2000, 8, 4); // ...and now the private map does too
+        m.write(0x3000, 8, 5); // a page only in the private layer
+        assert_eq!(m.mapped_pages(), 3);
+        assert_eq!(m.clone().mapped_pages(), 3);
+        m.share();
+        assert_eq!(m.mapped_pages(), 3);
+    }
+
+    #[test]
+    fn share_with_open_page_keeps_every_byte() {
+        let mut m = Memory::new();
+        let data: Vec<u8> = (0..=255).cycle().take(3 * PAGE_SIZE).collect();
+        m.write_bytes(0x4000, &data);
+        m.share();
+        m.write(0x4010, 8, u64::MAX); // 0x4 shadows the base, stays open
+        m.write(0x9000, 8, 7); // 0x9 is open; 0x4 moves to the private map
+        m.write(0x9008, 8, 8);
+        m.share();
+        assert_eq!(m.read(0x4010, 8), u64::MAX);
+        assert_eq!((m.read(0x9000, 8), m.read(0x9008, 8)), (7, 8));
+        let mut expect = data.clone();
+        expect[0x10..0x18].fill(0xff);
+        assert_eq!(m.read_bytes(0x4000, expect.len()), expect);
+        assert_eq!(m.mapped_pages(), 4);
     }
 }

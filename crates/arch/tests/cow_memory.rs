@@ -3,13 +3,14 @@
 //!
 //! The COW implementation shares page allocations between clones and
 //! un-shares lazily on write, with an "open page" write handle cached
-//! outside the page map. None of that machinery may be visible through
-//! the API: any interleaving of reads, multi-byte writes, clones,
-//! `clone_from` overwrites, and drops must produce exactly the bytes a
-//! naive per-instance byte map would. Each generated case drives a small
-//! population of (memory, model) pairs through a random op sequence and
-//! checks every read against the model, including reads that straddle
-//! page boundaries.
+//! outside the page map and a frozen base layer built by
+//! [`Memory::share`] under the private pages. None of that machinery may
+//! be visible through the API: any interleaving of reads, multi-byte
+//! writes, clones, `clone_from` overwrites, `share` freezes and drops
+//! must produce exactly the bytes a naive per-instance byte map would.
+//! Each generated case drives a small population of (memory, model)
+//! pairs through a random op sequence and checks every read against the
+//! model, including reads that straddle page boundaries.
 
 use protean_arch::Memory;
 use protean_testkit::{Checker, Rng};
@@ -59,6 +60,9 @@ enum OpKind {
     Clone,
     CloneFrom,
     Drop,
+    /// Freezes a member's pages into its shared base layer; later ops
+    /// write to it, clone it and `clone_from` it like any other member.
+    Share,
 }
 
 #[test]
@@ -69,11 +73,12 @@ fn cow_memory_matches_deep_copy_model() {
             |rng| {
                 let ops: Vec<(OpKind, u64, u64, u64, usize, usize)> = (0..250)
                     .map(|_| {
-                        let kind = match rng.gen_range(0..10) {
+                        let kind = match rng.gen_range(0..11) {
                             0..=3 => OpKind::Write,
                             4..=6 => OpKind::Read,
                             7 => OpKind::Clone,
                             8 => OpKind::CloneFrom,
+                            9 => OpKind::Share,
                             _ => OpKind::Drop,
                         };
                         (
@@ -130,6 +135,13 @@ fn cow_memory_matches_deep_copy_model() {
                             if pairs.len() > 1 {
                                 pairs.remove(a);
                             }
+                        }
+                        OpKind::Share => {
+                            let (mem, model) = &mut pairs[a];
+                            let pages = mem.mapped_pages();
+                            mem.share();
+                            assert_eq!(mem.mapped_pages(), pages, "share mapped or dropped a page");
+                            assert_eq!(mem.read(addr, size), model.read(addr, size));
                         }
                     }
                 }

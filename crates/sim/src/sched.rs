@@ -68,11 +68,21 @@
 //! mismatch, or slot outside the live window — without touching the ROB.
 //! Stale events are deliberately *left in the wheel* on squash: the
 //! cached minimum deadline ([`Scheduler::next_completion_cycle`], an
-//! O(1) field maintained on push and recomputed on drain) feeds
-//! idle-cycle fast-forward, and removing stale events would change jump
-//! targets — and with them the blocked-cycle span structure of the
-//! trace that the `golden_scheduler` and `golden_backends` fixtures
-//! pin.
+//! O(1) field) feeds idle-cycle fast-forward, and removing stale events
+//! would change jump targets — and with them the blocked-cycle span
+//! structure of the trace that the `golden_scheduler` and
+//! `golden_backends` fixtures pin.
+//!
+//! The minimum is **indexed**, not rescanned: one occupancy bit per
+//! bucket (set by the first push into an empty bucket, cleared when the
+//! bucket drains) lets a drain find the next deadline with a
+//! trailing-zeros search over the bit words — at most four for the
+//! 256-bucket ring of the largest in-tree config — starting at
+//! `cycle + 1`. Every bucketed deadline left after a drain at `cycle`
+//! lies in `(cycle, cycle + ring)`, so the first occupied bucket in
+//! ring order from `cycle + 1` holds the minimum, and `reset` clears
+//! only the buckets whose bits are set. A debug-profile assert
+//! checks the cached minimum against a full recompute on every query.
 //!
 //! Per-physical-register dependent lists live in one **arena of
 //! intrusive doubly-linked nodes indexed by ROB slot** (a µop parks on
@@ -296,6 +306,9 @@ pub(crate) struct Scheduler {
     wmask: u64,
     buckets: Vec<Vec<WheelEvent>>,
     stamp: Vec<u64>,
+    /// One bit per bucket, set iff the bucket is non-empty: the next
+    /// deadline is a trailing-zeros search over these words.
+    occupied: Vec<u64>,
     /// Events beyond the ring horizon (or colliding with an occupied
     /// bucket of a different deadline): kept sorted by deadline,
     /// descending, so the nearest pops from the back. A safety net —
@@ -305,7 +318,7 @@ pub(crate) struct Scheduler {
     /// Cached minimum deadline across the buckets (`u64::MAX` when none)
     /// and the bucketed-event count. The overall wheel minimum is
     /// `min(bucket_min, overflow.last())` — O(1) for the idle-cycle
-    /// fast-forward query.
+    /// fast-forward query; a drain re-derives it from `occupied`.
     bucket_min: u64,
     bucket_events: u64,
 
@@ -351,6 +364,7 @@ impl Scheduler {
             wmask: wsize as u64 - 1,
             buckets: (0..wsize).map(|_| Vec::new()).collect(),
             stamp: vec![0; wsize],
+            occupied: vec![0; wsize.div_ceil(64)],
             overflow: Vec::new(),
             bucket_min: u64::MAX,
             bucket_events: 0,
@@ -373,8 +387,12 @@ impl Scheduler {
             set.clear();
         }
         self.dep_epoch_cur += 1; // O(1) dependent-list invalidation
-        for b in &mut self.buckets {
-            b.clear();
+        for w in 0..self.occupied.len() {
+            let mut bits = std::mem::take(&mut self.occupied[w]);
+            while bits != 0 {
+                self.buckets[w * 64 + bits.trailing_zeros() as usize].clear();
+                bits &= bits - 1;
+            }
         }
         self.overflow.clear();
         self.bucket_min = u64::MAX;
@@ -630,6 +648,7 @@ impl Scheduler {
         let b = (done & self.wmask) as usize;
         if self.buckets[b].is_empty() {
             self.stamp[b] = done;
+            self.occupied[b / 64] |= 1 << (b % 64);
             self.buckets[b].push(ev);
         } else if self.stamp[b] == done {
             self.buckets[b].push(ev);
@@ -685,6 +704,7 @@ impl Scheduler {
                 }
                 bucket.clear();
                 self.buckets[b] = bucket; // pooled
+                self.occupied[b / 64] &= !(1 << (b % 64));
                 if self.bucket_events == 0 {
                     break;
                 }
@@ -694,17 +714,11 @@ impl Scheduler {
             } else {
                 // All remaining bucketed deadlines lie in
                 // (cycle, cycle + ring), because every push happened at
-                // a cycle ≤ `cycle` with latency < ring size.
-                let mut min = u64::MAX;
-                for c in cycle + 1..=cycle + self.wmask + 1 {
-                    let b = (c & self.wmask) as usize;
-                    if !self.buckets[b].is_empty() && self.stamp[b] == c {
-                        min = c;
-                        break;
-                    }
-                }
-                debug_assert_ne!(min, u64::MAX, "bucketed event outside the ring horizon");
-                min
+                // a cycle ≤ `cycle` with latency < ring size: the first
+                // occupied bucket from `cycle + 1` holds the minimum.
+                let next = self.first_occupied_from(cycle + 1);
+                debug_assert!(next.is_some(), "bucketed events but no occupancy bit");
+                next.map_or(u64::MAX, |b| self.stamp[b])
             };
         }
         while let Some(&(done, ev)) = self.overflow.last() {
@@ -730,8 +744,8 @@ impl Scheduler {
 
     /// The cycle of the earliest outstanding completion event (live or
     /// stale), if any. O(1): a cached field maintained on push and
-    /// recomputed on drain (squash leaves it untouched because stale
-    /// events stay in the wheel).
+    /// re-derived from the occupancy bits on drain (squash leaves it
+    /// untouched because stale events stay in the wheel).
     #[inline]
     pub fn next_completion_cycle(&self) -> Option<u64> {
         debug_assert_eq!(self.bucket_min, self.recomputed_bucket_min(), "stale cache");
@@ -740,6 +754,26 @@ impl Scheduler {
             None => self.bucket_min,
         };
         (min != u64::MAX).then_some(min)
+    }
+
+    /// The first occupied bucket in ring order from the bucket of cycle
+    /// `from`, found by a trailing-zeros search over the occupancy words
+    /// (the start word is visited twice: from `from`'s bit up, then in
+    /// full once the search wraps), or `None` if every bucket is empty.
+    #[inline]
+    fn first_occupied_from(&self, from: u64) -> Option<usize> {
+        let start = (from & self.wmask) as usize;
+        let words = self.occupied.len();
+        let mut w = start / 64;
+        let mut bits = self.occupied[w] & (!0u64 << (start % 64));
+        for _ in 0..words {
+            if bits != 0 {
+                break;
+            }
+            w = (w + 1) % words;
+            bits = self.occupied[w];
+        }
+        (bits != 0).then(|| w * 64 + bits.trailing_zeros() as usize)
     }
 
     /// Debug-only ground truth for the cached bucket minimum.
@@ -1187,6 +1221,88 @@ mod tests {
         assert_eq!(r.s.next_completion_cycle(), Some(37));
         assert_eq!(r.pop_completions(37), vec![2]);
         assert_eq!(r.s.next_completion_cycle(), None);
+    }
+
+    /// Drives random `schedule_completion` / `pop_completions` traffic
+    /// through a wheel of `ring` buckets and checks every drain and
+    /// every `next_completion_cycle` against a brute-force event list.
+    /// Time follows the pipeline's contract — it only moves forward,
+    /// each step either ticks, fast-forwards to the next deadline, or
+    /// (with the wheel empty) jumps far ahead, so runs lap the ring
+    /// many times — and a `reset()` lands midway through each case.
+    fn check_wheel_minimum(name: &'static str, max_latency: u32, ring: usize) {
+        protean_testkit::Checker::new(name).cases(64).run_with_rng(
+            |_| (),
+            |_, rng| {
+                let mut s = Scheduler::new(8, 16, max_latency);
+                assert_eq!(s.wmask as usize + 1, ring);
+                let fill = |s: &mut Scheduler| -> Vec<usize> {
+                    (0..16).map(|_| s.on_dispatch()).collect()
+                };
+                let mut slots = fill(&mut s);
+                // Outstanding (deadline, slot) events.
+                let mut model: Vec<(u64, usize)> = Vec::new();
+                let mut now = rng.gen_range(0..1000u64);
+                let sparse = rng.gen_bool(0.5);
+                let steps = 600usize;
+                let reset_at = rng.gen_range(steps / 4..3 * steps / 4);
+                let mut out = Vec::new();
+                for step in 0..steps {
+                    if step == reset_at {
+                        s.reset();
+                        model.clear();
+                        slots = fill(&mut s);
+                        now = rng.gen_range(0..1000u64);
+                    }
+                    let events = if sparse {
+                        usize::from(rng.gen_range(0..8u32) == 0)
+                    } else {
+                        rng.gen_range(0..4usize)
+                    };
+                    for _ in 0..events {
+                        let done = now + rng.gen_range(1..=u64::from(max_latency) + 1);
+                        let slot = slots[rng.gen_range(0..slots.len())];
+                        s.schedule_completion(done, slot);
+                        model.push((done, slot));
+                    }
+                    let min = model.iter().map(|&(d, _)| d).min();
+                    assert_eq!(s.next_completion_cycle(), min, "step {step} @ {now}");
+                    now = match (min, rng.gen_range(0..3u32)) {
+                        (Some(min), 0) => min,
+                        (None, 0) => now + rng.gen_range(1..(8 * ring) as u64),
+                        _ => now + 1,
+                    };
+                    s.pop_completions(now, &mut out);
+                    let mut due: Vec<usize> = model
+                        .iter()
+                        .filter(|&&(d, _)| d <= now)
+                        .map(|&(_, slot)| slot)
+                        .collect();
+                    model.retain(|&(d, _)| d > now);
+                    // Head slot 0 and no commits: age order is slot order.
+                    due.sort_unstable();
+                    assert_eq!(out, due, "drain at {now}");
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn indexed_wheel_minimum_matches_brute_force_16_buckets() {
+        check_wheel_minimum(
+            "indexed_wheel_minimum_matches_brute_force_16_buckets",
+            10,
+            16,
+        );
+    }
+
+    #[test]
+    fn indexed_wheel_minimum_matches_brute_force_256_buckets() {
+        check_wheel_minimum(
+            "indexed_wheel_minimum_matches_brute_force_256_buckets",
+            200,
+            256,
+        );
     }
 
     #[test]
